@@ -36,6 +36,8 @@ NUM_GPUS = 8
 WINDOW_SECONDS = 200.0
 DELTA = 0.1
 SEED = 0
+# Timed runs per path in the interleaved best-of-k measurements below.
+TIMING_REPEATS = 5
 
 #: Default location of the emitted benchmark trajectory.
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_scheduler.json"
@@ -144,32 +146,52 @@ def seed_reference_schedule(request, *, quantum: float = DELTA, patience: int = 
 
 
 def measure_operating_point(*, with_reference: bool = True) -> Dict:
-    """Optimised-vs-seed metrics at the §6.3 operating point."""
-    schedule, placement = schedule_with_placement()
+    """Optimised-vs-seed metrics at the §6.3 operating point.
+
+    Times the optimised thief ``TIMING_REPEATS`` times over one request —
+    interleaved with the seed reference, after one untimed warm-up of each
+    so neither pays numpy's first-touch costs — and keeps each path's best
+    wall-clock, as :func:`measure_batched_planner` does.  A single cold
+    call swung by about ±25 % between runs of unchanged code.
+    """
+    request = build_request()
+    ThiefScheduler(steal_quantum=DELTA).schedule(request)
+    if with_reference:
+        seed_reference_schedule(request)
+    runtimes: List[float] = []
+    reference = None
+    reference_runtimes: List[float] = []
+    for _ in range(TIMING_REPEATS):
+        schedule = ThiefScheduler(steal_quantum=DELTA).schedule(request)
+        runtimes.append(schedule.scheduler_runtime_seconds)
+        if with_reference:
+            reference = seed_reference_schedule(request)
+            reference_runtimes.append(reference[1])
+    runtime = min(runtimes)
+    placement = place_jobs(schedule.allocation_map(), GPUFleet(NUM_GPUS))
     metrics = {
         "num_streams": NUM_STREAMS,
         "num_gpus": NUM_GPUS,
         "num_retraining_configs": 18,
         "delta": DELTA,
         "window_seconds": WINDOW_SECONDS,
-        "scheduler_runtime_seconds": schedule.scheduler_runtime_seconds,
+        "repeats": TIMING_REPEATS,
+        "scheduler_runtime_seconds": runtime,
         "iterations": schedule.iterations,
         "pick_configs_evaluations": schedule.pick_configs_evaluations,
         "estimated_average_accuracy": schedule.estimated_average_accuracy,
         "placement_allocation_loss_gpus": placement.allocation_loss(),
     }
     if with_reference:
-        request = build_request()
-        ref_accuracy, ref_runtime, ref_invocations, ref_computed = seed_reference_schedule(
-            request
-        )
+        ref_accuracy, _, ref_invocations, ref_computed = reference
+        ref_runtime = min(reference_runtimes)
         metrics.update(
             {
                 "reference_runtime_seconds": ref_runtime,
                 "reference_pick_configs_invocations": ref_invocations,
                 "reference_per_stream_evaluations": ref_computed,
                 "reference_estimated_average_accuracy": ref_accuracy,
-                "wall_clock_speedup": ref_runtime / schedule.scheduler_runtime_seconds,
+                "wall_clock_speedup": ref_runtime / runtime,
                 "pick_configs_reduction": ref_invocations
                 / schedule.pick_configs_evaluations,
             }
@@ -199,12 +221,10 @@ def measure_scaling(stream_counts=(10, 25, 50, 100)) -> List[Dict]:
 def measure_batched_planner(
     num_streams: int = BATCHED_NUM_STREAMS,
     num_gpus: int = NUM_GPUS,
-    *,
-    repeats: int = 5,
 ) -> Dict:
     """Scalar-vs-batched thief A/B at the large-fleet point, same machine.
 
-    Runs both schedulers ``repeats`` times over the identical request —
+    Runs both schedulers ``TIMING_REPEATS`` times over the identical request —
     interleaved, after one untimed warmup pair so neither path pays numpy's
     first-touch costs — and keeps each path's best wall-clock (the speedup
     is a same-machine ratio, so it stays meaningful on hardware the
@@ -218,7 +238,7 @@ def measure_batched_planner(
     scalar_times: List[float] = []
     batched_times: List[float] = []
     scalar_schedule = batched_schedule = None
-    for _ in range(repeats):
+    for _ in range(TIMING_REPEATS):
         started = time.perf_counter()
         scalar_schedule = ThiefScheduler(steal_quantum=DELTA).schedule(request)
         scalar_times.append(time.perf_counter() - started)
@@ -238,7 +258,7 @@ def measure_batched_planner(
     return {
         "num_streams": num_streams,
         "num_gpus": num_gpus,
-        "repeats": repeats,
+        "repeats": TIMING_REPEATS,
         "scalar_runtime_seconds": scalar_runtime,
         "batched_runtime_seconds": batched_runtime,
         "batched_speedup": scalar_runtime / batched_runtime,

@@ -160,31 +160,29 @@ def main() -> None:
     )
 
     # -------------------------------------------------- mid-window preemption
-    # Event-driven site internals: a three-site preemptive fleet whose
-    # site-0 fails ten seconds into window 1 — while its retrainings are
-    # still in flight.  The evacuation cancels them mid-window (the streams
-    # keep their stale models) and the reclaimed GPU-seconds accelerate
-    # nothing on the dead site, but the trace shows the full event grammar:
-    # plan at the boundary, InferenceReconfigured(retraining_cancelled) at
-    # the failure, RetrainingComplete settles on the survivors, and stale
-    # rescheduled completions popping as silent no-ops.
-    preemptive = make_fleet(
-        3, 4, dataset="cityscapes", gpus_per_site=2, seed=0, preemptive_sites=True
-    )
+    # Event-driven site internals: a three-site fleet whose site-0 fails ten
+    # seconds into window 1 — while its retrainings are still in flight.
+    # The evacuation cancels them mid-window (the streams keep their stale
+    # models) and the reclaimed GPU-seconds accelerate nothing on the dead
+    # site, but the trace shows the full event grammar: plan at the
+    # boundary, InferenceReconfigured(retraining_cancelled) at the failure,
+    # RetrainingComplete settles on the survivors, and stale rescheduled
+    # completions popping as silent no-ops.
+    preempted = make_fleet(3, 4, dataset="cityscapes", gpus_per_site=2, seed=0)
     outage = Scenario(
         events=[SiteFailure(at_seconds=210.0, site="site-0", recovery_at=800.0)]
     )
-    preemptive_sim = FleetSimulator(preemptive, outage)
-    preemptive_result = preemptive_sim.run_until(1000.0)
-    preemptive_summary = preemptive_result.summary()
+    preemption_sim = FleetSimulator(preempted, outage)
+    preemption_result = preemption_sim.run_until(1000.0)
+    preemption_summary = preemption_result.summary()
     print(
-        f"\nPreemptive sites (failure at t=210 s, mid-window): "
-        f"{preemptive_summary['retrainings_cancelled']} in-flight retrainings "
-        f"cancelled, {preemptive_summary['reclaimed_gpu_seconds']:.0f} GPU-s "
-        f"reclaimed | mean accuracy {preemptive_summary['mean_accuracy']:.3f}"
+        f"\nMid-window failure at t=210 s: "
+        f"{preemption_summary['retrainings_cancelled']} in-flight retrainings "
+        f"cancelled, {preemption_summary['reclaimed_gpu_seconds']:.0f} GPU-s "
+        f"reclaimed | mean accuracy {preemption_summary['mean_accuracy']:.3f}"
     )
     print("Preemption event trace around the failure (t in [200, 270] s):")
-    for event in preemptive_sim.event_trace:
+    for event in preemption_sim.event_trace:
         if 200.0 <= event.time <= 270.0:
             print(f"  {event.describe()}")
 
@@ -193,7 +191,7 @@ def main() -> None:
     # text format by the telemetry plane (scripts/export_metrics.py is the
     # standalone CLI for this exposition).
     print("\nPrometheus exposition of the preemption run:")
-    for line in preemptive_sim.telemetry.export_text(preemptive_result).splitlines():
+    for line in preemption_sim.telemetry.export_text(preemption_result).splitlines():
         print(f"  {line}")
 
 

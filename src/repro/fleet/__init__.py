@@ -24,9 +24,8 @@ Event hierarchy (priority order at equal timestamps, smaller fires first):
    built with ``make_fleet(wan_faults=...)``); at one instant a transfer
    either lands or fails, never both.
 4. :class:`RetrainingComplete` — one stream's in-flight retraining reaches
-   its absolute finish time (only scheduled by fleets built with
-   ``make_fleet(preemptive_sites=True)``).  After arrivals; before pushes
-   and control, so a same-instant rebalance sees the completed model.
+   its absolute finish time.  After arrivals; before pushes and control,
+   so a same-instant rebalance sees the completed model.
 5. :class:`InferenceReconfigured` — a mid-window allocation change: GPUs
    freed by a completed retraining flowed back to inference, or a
    cancellation handed reclaimed capacity to surviving retrainings.
@@ -37,8 +36,20 @@ Event hierarchy (priority order at equal timestamps, smaller fires first):
    After arrivals so a same-instant checkpoint is observed first; before
    control ticks so same-instant admission already sees the pushed curves.
 7. :class:`ControlTick` — admission/rebalancing.
-8. :class:`WindowBoundary` — one site plans (and, for non-preemptive
-   fleets, atomically settles) its next window.
+8. :class:`WindowBoundary` — one site settles the rest of its previous
+   window and plans its next one.
+
+Site windows are event-driven, as Ekya re-invokes its scheduler when a
+retraining job completes: a window is planned at its boundary and every
+stream's retraining settles at its own :class:`RetrainingComplete` event,
+so a mid-window migration or evacuation *cancels* the departing stream's
+in-flight retraining and reclaims its remaining GPU-seconds for the site's
+other in-flight retrainings (which finish earlier, marked by
+:class:`InferenceReconfigured` events); a mid-window :class:`GpuFailure`
+rescales in-flight retrainings; and a WAN fault is counted in the window
+the charged site has open when it fires.  Surfaced as
+``retrainings_cancelled`` / ``reclaimed_gpu_seconds`` /
+``wasted_gpu_seconds`` in :meth:`FleetResult.summary`.
 
 Migrating from the shared-window-index API (PR 2)
 -------------------------------------------------
@@ -81,15 +92,6 @@ New capabilities, opted into explicitly:
   :meth:`FleetResult.summary`.  ``make_fleet(...,
   profile_decay_half_life=3600.0)`` additionally ages old pushes out of the
   store so warm starts track the current drift regime.
-* **Event-driven site internals**: ``make_fleet(..., preemptive_sites=True)``
-  plans each window at its boundary and settles every stream's retraining
-  at its own :class:`RetrainingComplete` event, so a mid-window migration
-  or evacuation *cancels* the departing stream's in-flight retraining and
-  reclaims its remaining GPU-seconds for the site's other in-flight
-  retrainings (which finish earlier, marked by
-  :class:`InferenceReconfigured` events).  Surfaced as
-  ``retrainings_cancelled`` / ``reclaimed_gpu_seconds`` in
-  :meth:`FleetResult.summary`.
 * **Partial-failure fault model**: ``make_fleet(..., wan_faults=
   WanFaultModel(loss_rate=0.1, seed=7))`` makes checkpoint transfers and
   profile pushes fail in flight (:class:`TransferFailed` events) —
@@ -110,7 +112,7 @@ New capabilities, opted into explicitly:
   expected gain net of WAN transfer cost under the current link and of the
   GPU-seconds a mid-window cancellation would waste — avoids
   transfer-congested destinations, and proactively cancels retrainings
-  that no longer pay on preemptive sites.  Surfaced as ``control_policy``
+  that no longer pay.  Surfaced as ``control_policy``
   / ``control_scans_skipped`` / ``migrations_rejected`` /
   ``proactive_cancellations`` / ``wasted_gpu_seconds`` in
   :meth:`FleetResult.summary`; ``scripts/run_policy_ab.py`` replays

@@ -126,7 +126,6 @@ def make_fleet(
     profile_sharing: bool = False,
     profiling_settings: Optional[MicroProfilerSettings] = None,
     profile_decay_half_life: Optional[float] = None,
-    preemptive_sites: bool = False,
     wan_faults: Optional[WanFaultModel] = None,
     telemetry: Optional[TelemetryConfig] = None,
     control_policy: Union[str, ControlPolicy] = "greedy",
@@ -173,16 +172,6 @@ def make_fleet(
     so warm starts track the *current* drift regime instead of averaging
     over every window ever profiled.  ``None`` (default) keeps every push
     at weight 1.0 forever — the pre-decay behaviour, bit for bit.
-
-    ``preemptive_sites`` turns on event-driven site internals: each window
-    is planned at its boundary and every stream's retraining completion
-    becomes its own :class:`~repro.fleet.calendar.RetrainingComplete` event,
-    so a mid-window migration or evacuation cancels the departing stream's
-    in-flight retraining, reclaims its remaining GPU-seconds for the site's
-    other in-flight retrainings, and the cancellation shows up in
-    ``FleetResult.summary()`` (``retrainings_cancelled`` /
-    ``reclaimed_gpu_seconds``).  Off by default — the boundary-settled
-    engine is reproduced bit for bit.
 
     ``wan_faults`` attaches a :class:`~repro.fleet.faults.WanFaultModel`:
     checkpoint transfers fail in flight with the model's (and the endpoint
@@ -312,7 +301,6 @@ def make_fleet(
         overload_factor=overload_factor,
         max_migrations_per_window=max_migrations_per_window,
         profile_sharing=sharing,
-        preemptive_sites=preemptive_sites,
         wan_faults=wan_faults,
         telemetry=telemetry,
         control_policy=control_policy,

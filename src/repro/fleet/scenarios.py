@@ -189,10 +189,10 @@ class GpuFailure(_TimedEvent):
 
     Partial degradation, not all-or-nothing: the site stays healthy and
     keeps serving its streams on the remaining capacity (a site down to
-    zero effective GPUs skips windows entirely until a recovery).  Fleets
-    with ``preemptive_sites=True`` rescale their in-flight retrainings at
-    the failure instant; boundary-settled sites replan at their next
-    window boundary.
+    zero effective GPUs skips windows entirely until a recovery).  The
+    site's in-flight retrainings are rescaled at the failure instant (a
+    loss down to zero GPUs cancels them), and its next boundary plans for
+    the smaller machine.
     """
 
     window: Optional[int] = None

@@ -16,8 +16,8 @@ dispatched to one handler each:
 * ``ScenarioTrigger`` — site failures force-evacuate (scheduling one
   ``TransferArrival`` per hop), flash crowds admit, WAN degradations scale
   the link and schedule their own restore, GPU failures shrink the site's
-  effective capacity (a preemptive site rescales its in-flight retrainings
-  mid-window; a boundary-settled one replans at its next boundary).
+  effective capacity (its in-flight retrainings are rescaled mid-window,
+  and its next boundary plans for the smaller machine).
 * ``TransferArrival`` — a migrating checkpoint + profile lands.  Arrivals
   are absolute timestamps, so a transfer can complete mid-window and the
   next window pays only the remaining time; one spanning several windows
@@ -27,28 +27,32 @@ dispatched to one handler each:
   exponential backoff until the retry budget runs out — the final give-up
   restarts the stream cold at its destination — and profile pushes are
   lost outright, neighbours falling back to local curves.  Every failure
-  lands in the destination site's ``transfers_failed`` /
-  ``transfer_retries`` / ``retry_seconds`` stats.
+  lands in the ``transfers_failed`` / ``transfer_retries`` /
+  ``retry_seconds`` stats of the window the charged site (destination of a
+  checkpoint, source of a push) has open when the failure fires — or, if
+  it has none (failed, or no streams or GPUs at its last boundary), of the
+  next window it settles.
 * ``ProfilePush`` — a site's micro-profiled curves land in the fleet-wide
   profile store (cross-site profile sharing; scheduled only for fleets
   built with ``make_fleet(profile_sharing=True)``).  The arrival paid the
   source site's uplink, so degraded sites contribute stale curves.
 * ``RetrainingComplete`` / ``InferenceReconfigured`` — event-driven site
-  internals (fleets built with ``make_fleet(preemptive_sites=True)``): a
-  window is *planned* at its boundary, each stream's retraining completion
-  becomes its own calendar event at the absolute finish time, and the
-  settle phase runs per stream — at its completion, at the window end, or
-  early as a cancellation when a mid-window migration/evacuation preempts
-  an in-flight retraining and reclaims its remaining GPU-seconds for the
-  site's other in-flight retrainings (which then finish earlier).  Off by
-  default; the boundary-settled engine is reproduced bit for bit.
+  internals: each stream's retraining completion is its own calendar event
+  at the absolute finish time, and the settle phase runs per stream — at
+  its completion, at the window end, or early as a cancellation when a
+  mid-window migration/evacuation (or the control policy) preempts an
+  in-flight retraining and reclaims its remaining GPU-seconds for the
+  site's other in-flight retrainings (which then finish earlier).
 * ``ControlTick`` — the controller rebalances.  Ticks coincide with window
   boundaries by default (the PR-2 cadence); pass ``control_interval`` to
   run the control plane on its own cadence, decoupled from windows.
-* ``WindowBoundary`` — the site plans and executes one window through the
-  unchanged single-server :class:`~repro.simulation.simulator.Simulator` /
-  thief-scheduler path, with migrated-in streams' unfinished WAN transfer
-  handed down as a retraining start delay.
+* ``WindowBoundary`` — the site settles whatever is left of its previous
+  window, then *plans* the next one through the single-server
+  :class:`~repro.simulation.simulator.Simulator` / thief-scheduler path,
+  with migrated-in streams' unfinished WAN transfer handed down as a
+  retraining start delay.  Nothing is realised at the boundary: streams
+  settle at their ``RetrainingComplete`` events, at cancellations, or at
+  the window end.
 
 ``run(num_windows)`` is a thin compatibility wrapper over the event loop
 for homogeneous-window fleets and reproduces the shared-window-index
@@ -111,7 +115,7 @@ from .telemetry import TelemetryConfig, TelemetryPlane
 
 @dataclass
 class _OpenSiteWindow:
-    """Bookkeeping for one preemptive site window between plan and settle.
+    """Bookkeeping for one site window between plan and settle.
 
     Created at the site's :class:`~repro.fleet.calendar.WindowBoundary`
     (plan phase) and closed when the window fully settles — at its end, or
@@ -133,7 +137,7 @@ class _OpenSiteWindow:
     #: the boundary (profiles are produced during planning).
     profiling: Tuple[float, float]
     #: Migration events charged to each planned stream, popped at plan time
-    #: exactly like the boundary-settled engine attributes them.
+    #: so WAN hops are charged to the window that pays their delay.
     migrations_stash: Dict[str, Tuple[MigrationEvent, ...]]
     #: Absolute completion time per in-flight retraining.
     expected: Dict[str, float] = field(default_factory=dict)
@@ -154,7 +158,7 @@ class _OpenSiteWindow:
     #: GPU-seconds burned on retrainings that never paid: work sunk into a
     #: cancelled job before its cancellation, plus the whole-window burn of
     #: a job that never completed inside its window.  The A/B harness's
-    #: headline waste metric; stays 0.0 on non-preemptive fleets.
+    #: headline waste metric.
     wasted_gpu_seconds: float = 0.0
 
 
@@ -219,17 +223,15 @@ class FleetSimulator:
                 "telemetry must be a TelemetryConfig or TelemetryPlane, "
                 f"got {type(telemetry).__name__}"
             )
-        #: Event-driven site internals: plan windows at their boundary,
-        #: settle retrainings at per-stream RetrainingComplete events and
-        #: cancel in-flight retrainings when their stream departs.
-        self._preemptive = controller.preemptive_sites
         #: Cohort planning: same-instant boundaries solved in one stacked call.
         self._batched = controller.batched_planning
-        #: Open (planned, not fully settled) window per preemptive site.
+        #: Open (planned, not fully settled) window per site.  Windows are
+        #: planned at their boundary, settle retrainings at per-stream
+        #: RetrainingComplete events, and cancel in-flight retrainings when
+        #: their stream departs or the control plane asks.
         self._open_windows: Dict[str, _OpenSiteWindow] = {}
-        if self._preemptive:
-            controller.set_departure_hook(self._on_stream_departure)
-            controller.set_cancellation_hook(self._on_proactive_cancellation)
+        controller.set_departure_hook(self._on_stream_departure)
+        controller.set_cancellation_hook(self._on_proactive_cancellation)
         self._scenario.validate(
             [site.name for site in controller.sites],
             require_time_indexed=not controller.homogeneous_windows,
@@ -242,8 +244,9 @@ class FleetSimulator:
         self._wan_faults = controller.wan_faults
         self._fault_rng = None
         #: Per-site ``[transfers_failed, transfer_retries, retry_seconds]``
-        #: accumulated by TransferFailed events, popped into the site's next
-        #: :class:`~repro.fleet.metrics.SiteWindowStats`.
+        #: accumulated by TransferFailed events, popped into the
+        #: :class:`~repro.fleet.metrics.SiteWindowStats` of the site's next
+        #: window to settle — the one open when they fired, if any.
         self._fault_counters: Dict[str, List] = {}
         #: In-flight WAN transfers, tracked in two mathematically equal
         #: views.  ``_transfer_arrival`` is the absolute landing time of a
@@ -486,10 +489,10 @@ class FleetSimulator:
     def _advance_until(self, t_end: float) -> None:
         """Pop and dispatch every event strictly before ``t_end``.
 
-        Preemptive fleets additionally settle every open site window whose
-        end lies at or before ``t_end`` once the events are drained: the
-        boundary event *at* a window's end is not popped (it belongs to the
-        next advance), but the window it closes is complete — all its
+        Every open site window whose end lies at or before ``t_end`` is
+        then settled once the events are drained: the boundary event *at* a
+        window's end is not popped (it belongs to the next advance), but
+        the window it closes is complete — all its
         completion events fired strictly before the end — so its remaining
         streams settle now and the returned results are final.
         """
@@ -510,10 +513,12 @@ class FleetSimulator:
                 self._on_boundary_cohort(self._collect_cohort(event))
             else:
                 self._dispatch(event)
-        if self._preemptive:
-            for name in sorted(self._open_windows):
-                if self._open_windows[name].end <= t_end:
-                    self._settle_open_window(name)
+        # Fleet site order — the order same-instant boundaries pop in — so
+        # a flushed cycle lists its sites and streams as a boundary would.
+        for site in self._controller.sites:
+            open_window = self._open_windows.get(site.name)
+            if open_window is not None and open_window.end <= t_end:
+                self._settle_open_window(site.name)
 
     def _open_cycle(self, time: float) -> None:
         if self._current is not None:
@@ -725,7 +730,7 @@ class FleetSimulator:
         if prepared is None:
             return
         site, cycle, delays = prepared
-        self._finish_boundary(boundary, site, cycle, delays, None)
+        self._plan_site_window(site, boundary, cycle, delays)
 
     def _prepare_boundary(
         self, boundary: WindowBoundary
@@ -738,10 +743,9 @@ class FleetSimulator:
         site = controller.site(boundary.site)
         cycle = self._require_cycle()
         duration = site.spec.window_duration
-        if self._preemptive:
-            # The previous window must be fully settled (its dynamics
-            # committed) before the next one queries them.
-            self._settle_open_window(site.name)
+        # The previous window must be fully settled (its dynamics committed)
+        # before the next one queries them.
+        self._settle_open_window(site.name)
         self._schedule_boundary(site, boundary.window_index + 1)
         if not site.healthy:
             cycle.failed_sites.append(site.name)
@@ -799,59 +803,11 @@ class FleetSimulator:
         for scheduler, requests in groups.items():
             schedules.update(scheduler.schedule_cohort(requests))
         for boundary, site, cycle, delays in prepared:
-            self._finish_boundary(
-                boundary, site, cycle, delays, schedules.get(site.name)
+            self._plan_site_window(
+                site, boundary, cycle, delays, preplanned=schedules.get(site.name)
             )
 
-    def _finish_boundary(
-        self,
-        boundary: WindowBoundary,
-        site: EdgeSite,
-        cycle: FleetWindowResult,
-        delays: Optional[Dict[str, float]],
-        preplanned,
-    ) -> None:
-        if self._preemptive:
-            self._plan_site_window(site, boundary, cycle, delays, preplanned=preplanned)
-            return
-        window_result = site.run_window(
-            boundary.window_index, retraining_delays=delays, preplanned=preplanned
-        )
-        if window_result is None:
-            return
-        profiling_cost, profiling_saved = self._share_profiles(site, boundary)
-        failed, retries, wasted = self._pop_fault_counters(site.name)
-        cycle.site_results[site.name] = window_result
-        accuracies = {
-            name: outcome.realized_average_accuracy
-            for name, outcome in window_result.outcomes.items()
-        }
-        self._telemetry.record_site_stats(
-            cycle,
-            site=site.name,
-            num_streams=site.num_streams,
-            utilization=gpu_utilization(
-                window_result.schedule.total_gpu_allocated, site.spec.num_gpus
-            ),
-            allocation_loss=window_result.allocation_loss,
-            mean_accuracy=safe_mean(list(accuracies.values())),
-            scheduler_runtime_seconds=window_result.schedule.scheduler_runtime_seconds,
-            profiling_gpu_seconds=profiling_cost,
-            profiling_gpu_seconds_saved=profiling_saved,
-            transfers_failed=failed,
-            transfer_retries=retries,
-            retry_seconds=wasted,
-        )
-        self._telemetry.observe_streams(boundary.window_index, accuracies)
-        for name, outcome in window_result.outcomes.items():
-            cycle.stream_outcomes[name] = FleetStreamOutcome(
-                stream_name=name,
-                site=site.name,
-                outcome=outcome,
-                migrations=tuple(self._migrated_into.pop(name, ())),
-            )
-
-    # ------------------------------------------------- preemptive internals
+    # ------------------------------------------------- site-window internals
     def _plan_site_window(
         self,
         site: EdgeSite,
@@ -860,16 +816,15 @@ class FleetSimulator:
         delays: Optional[Dict[str, float]],
         preplanned=None,
     ) -> None:
-        """Plan phase of a preemptive window: schedule, then per-stream events.
+        """Plan phase of a site window: schedule, then per-stream events.
 
-        The site's scheduler runs exactly as at a boundary-settled window,
-        but nothing is realised yet: each stream whose retraining fits the
-        window gets a :class:`~repro.fleet.calendar.RetrainingComplete`
-        event at its absolute finish time, and the settle phase runs stream
-        by stream as those events fire (or early, when a departure cancels).
-        Migration attribution is popped here — the same instant the
-        boundary-settled engine pops it — so both engines charge WAN hops
-        to the same window.
+        The site's scheduler runs at the boundary, but nothing is realised
+        yet: each stream whose retraining fits the window gets a
+        :class:`~repro.fleet.calendar.RetrainingComplete` event at its
+        absolute finish time, and the settle phase runs stream by stream as
+        those events fire (or early, when a departure cancels).  Migration
+        attribution is popped here, so WAN hops are charged to the window
+        whose retraining they delay.
         """
         plan = site.plan_window(
             boundary.window_index, retraining_delays=delays, preplanned=preplanned
@@ -954,9 +909,9 @@ class FleetSimulator:
     def _on_stream_departure(self, stream: str, source: str, reason: str) -> None:
         """A stream migrated or was evacuated away: preempt its retraining.
 
-        Installed as the controller's departure hook on preemptive fleets.
-        Delegates to :meth:`_cancel_inflight_retraining` with the engine's
-        historical ``"retraining_cancelled"`` reconfiguration reason.
+        Installed as the controller's departure hook.  Delegates to
+        :meth:`_cancel_inflight_retraining` with the engine's historical
+        ``"retraining_cancelled"`` reconfiguration reason.
         """
         self._cancel_inflight_retraining(source, stream, "retraining_cancelled")
 
@@ -1079,7 +1034,7 @@ class FleetSimulator:
     def _rescale_site_retrainings(
         self, site_name: str, old_capacity: int, new_capacity: int
     ) -> None:
-        """Replan a preemptive site's in-flight retrainings after a capacity
+        """Replan a site's in-flight retrainings after a capacity
         change (``GpuFailure`` / ``GpuRecovered`` mid-window).
 
         Every allocation-driven in-flight retraining keeps its share of the
@@ -1088,12 +1043,9 @@ class FleetSimulator:
         shrink (possibly past the window end, where it settles as not
         completed), earlier on a recovery.  Fixed external completions
         (cloud offload) are untouched.  A shrink to zero cancels everything
-        in flight: with no GPUs there is nothing to finish on.  Boundary-
-        settled sites need none of this — their next plan simply sees the
-        rebuilt, smaller server.
+        in flight: with no GPUs there is nothing to finish on.  The site's
+        next plan then sees the rebuilt server.
         """
-        if not self._preemptive:
-            return
         open_window = self._open_windows.get(site_name)
         if open_window is None:
             return
@@ -1152,17 +1104,6 @@ class FleetSimulator:
                 )
             )
 
-    def _pop_fault_counters(self, site_name: str):
-        """Drain the site's accumulated WAN-fault counters for its stats row.
-
-        Non-preemptive stats are built at the window's *opening* boundary,
-        so faults that fire during window k are attributed to the site's
-        window-(k+1) row; the preemptive engine settles at the closing
-        boundary and attributes them to the window they happened in.
-        """
-        failed, retries, wasted = self._fault_counters.pop(site_name, (0, 0, 0.0))
-        return failed, retries, wasted
-
     def _record_settled(
         self, open_window: _OpenSiteWindow, name: str, outcome: StreamWindowOutcome
     ) -> None:
@@ -1174,12 +1115,15 @@ class FleetSimulator:
         )
 
     def _settle_open_window(self, site_name: str) -> None:
-        """Settle phase of a preemptive window: close out whatever remains.
+        """Settle phase of a site window: close out whatever remains.
 
         Streams whose retraining completed (or was cancelled) are already
         settled; everything else — no retraining planned, or one that never
         fit the window — settles with its planned estimate.  Site results
-        and stats land in the cycle the window was planned in.
+        and stats land in the cycle the window was planned in.  WAN faults
+        charged to the site since its last settled window land in this
+        stats row — those that fired while this window was open, plus any
+        that fired while the site had no open window.
         """
         open_window = self._open_windows.pop(site_name, None)
         if open_window is None:
@@ -1203,13 +1147,19 @@ class FleetSimulator:
                 open_window.wasted_gpu_seconds += (
                     max(0.0, open_window.end - ready) * alloc
                 )
+        # Streams settled in completion order; re-insert them in plan order
+        # so the cycle's outcome order — and every mean summed over it —
+        # does not depend on which retraining finished first.
+        outcomes = open_window.cycle.stream_outcomes
+        for name in plan.streams:
+            outcomes[name] = outcomes.pop(name)
         open_window.expected.clear()
         open_window.alloc.clear()
         open_window.ready.clear()
         open_window.accelerable.clear()
         result = plan.result
         cost, saved = open_window.profiling
-        failed, retries, wasted = self._pop_fault_counters(site_name)
+        failed, retries, wasted = self._fault_counters.pop(site_name, (0, 0, 0.0))
         open_window.cycle.site_results[site_name] = result
         accuracies = {
             name: outcome.realized_average_accuracy
@@ -1223,7 +1173,8 @@ class FleetSimulator:
                 result.schedule.total_gpu_allocated, site.spec.num_gpus
             ),
             allocation_loss=result.allocation_loss,
-            mean_accuracy=safe_mean(list(accuracies.values())),
+            # Plan order, not ``result.outcomes`` (completion) order.
+            mean_accuracy=safe_mean([accuracies[name] for name in plan.streams]),
             scheduler_runtime_seconds=result.schedule.scheduler_runtime_seconds,
             profiling_gpu_seconds=cost,
             profiling_gpu_seconds_saved=saved,

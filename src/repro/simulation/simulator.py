@@ -312,8 +312,11 @@ class Simulator:
         """Plan and settle a single retraining window atomically.
 
         Equivalent to :meth:`plan_window` immediately followed by
-        :meth:`settle_window` — the whole-window path every non-preemptive
-        caller uses, bit-identical to the pre-split implementation.
+        :meth:`settle_window` — the single-server paper path, bit-identical
+        to the pre-split implementation.  The fleet simulator instead plans
+        at the boundary and settles stream by stream through
+        :meth:`settle_stream`, so a retraining can complete, be accelerated
+        or be cancelled mid-window.
 
         ``retraining_delays`` maps stream names to seconds their retraining
         cannot start into the window (the fleet layer uses this for the WAN
@@ -514,7 +517,7 @@ class Simulator:
           state is committed, and the planned retraining benefit is lost.
 
         Settling a stream twice is an error — the caller (the fleet's
-        preemptive event loop) owns exactly-once delivery.
+        event loop) owns exactly-once delivery.
         """
         planned = plan.streams.get(stream_name)
         if planned is None:

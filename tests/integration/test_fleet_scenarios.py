@@ -871,11 +871,9 @@ class TestProfileSharing:
 
 class TestPreemptiveSiteFailure:
     """The acceptance scenario for event-driven site internals: a site fails
-    *while retrainings are in flight*.  With ``preemptive_sites=True`` the
-    evacuation cancels those retrainings mid-window — the evacuees keep
-    their stale models and the remaining GPU-seconds show up as reclaimed —
-    while the default boundary-settled engine, which realised the whole
-    window at its start, reports no cancellations for the same timeline.
+    *while retrainings are in flight*.  The evacuation cancels those
+    retrainings mid-window — the evacuees keep their stale models and the
+    remaining GPU-seconds show up as reclaimed.
     """
 
     #: Ten seconds into window 1 of 200 s windows: retrainings planned at
@@ -887,15 +885,13 @@ class TestPreemptiveSiteFailure:
             events=[SiteFailure(at_seconds=self.FAIL_AT, site="site-0", recovery_at=800.0)]
         )
 
-    def _run(self, *, preemptive):
-        controller = make_fleet(
-            3, 4, gpus_per_site=2, seed=SEED, preemptive_sites=preemptive
-        )
+    def _run(self):
+        controller = make_fleet(3, 4, gpus_per_site=2, seed=SEED)
         simulator = FleetSimulator(controller, self._scenario())
         return simulator, simulator.run(5)
 
     def test_failure_during_retraining_cancels_and_reclaims(self):
-        simulator, result = self._run(preemptive=True)
+        simulator, result = self._run()
         summary = result.summary()
         assert summary["retrainings_cancelled"] >= 1
         assert summary["reclaimed_gpu_seconds"] > 0.0
@@ -915,7 +911,7 @@ class TestPreemptiveSiteFailure:
     def test_preemption_events_ride_the_calendar(self):
         from repro.fleet import InferenceReconfigured, RetrainingComplete
 
-        simulator, _ = self._run(preemptive=True)
+        simulator, _ = self._run()
         trace = simulator.event_trace
         assert any(isinstance(event, RetrainingComplete) for event in trace)
         reasons = {
@@ -925,19 +921,6 @@ class TestPreemptiveSiteFailure:
         }
         assert "retraining_cancelled" in reasons
         assert "retraining_complete" in reasons
-
-    def test_boundary_engine_sees_the_same_timeline_without_preemption(self):
-        _, result = self._run(preemptive=False)
-        summary = result.summary()
-        assert summary["retrainings_cancelled"] == 0
-        assert summary["reclaimed_gpu_seconds"] == 0.0
-        # The same failure still evacuates streams; only the mid-window
-        # cancellation semantics differ.
-        assert any(
-            event.reason == "evacuation"
-            for window in result.windows
-            for event in window.migrations
-        )
 
 
 class TestFailureOwnerReentrancy:
@@ -1156,6 +1139,70 @@ class TestWanFaults:
         ]
         assert losses
         assert all(event.final and event.stream == "" for event in losses)
+
+    def test_checkpoint_failure_counts_in_the_window_it_fires_in(self):
+        """A checkpoint ``TransferFailed`` firing inside site S's window k
+        lands in window k's ``SiteWindowStats`` row for S — not in the next
+        window's.  A failure at exactly a boundary instant pops before the
+        ``WindowBoundary`` (priority 3 vs 8), so it still belongs to the
+        window that boundary closes."""
+        simulator, result = self._run(loss_rate=0.6)
+        duration = simulator.controller.window_duration
+        expected = {}
+        for event in simulator.event_trace:
+            if isinstance(event, TransferFailed) and event.kind == "checkpoint":
+                window = math.ceil(event.time / duration) - 1
+                key = (window, event.site)
+                expected[key] = expected.get(key, 0) + 1
+        assert expected, "the lossy evacuation must fail some checkpoints"
+        # Failures inside the failure's own window, not only later ones.
+        assert any(window == 1 for window, _ in expected)
+        observed = {
+            (window.window_index, site): stats.transfers_failed
+            for window in result.windows
+            for site, stats in window.site_stats.items()
+            if stats.transfers_failed
+        }
+        assert observed == expected
+
+    def test_failure_toward_a_site_without_an_open_window_waits_for_its_next_row(self):
+        """A checkpoint failure charged to a site with no open window — site-1
+        is down across its 200 s and 400 s boundaries, so neither plans a
+        window — is counted in the row of the next window that site settles:
+        window 3, planned at 600 s after its recovery at 450 s."""
+        from repro.fleet import WanFaultModel
+
+        clock = ManualClock()
+        controller = make_fleet(
+            3,
+            2,
+            gpus_per_site=4,
+            seed=SEED,
+            clock=clock,
+            wan_faults=WanFaultModel(
+                loss_rate=0.9, max_retries=4, backoff_seconds=30.0, seed=SEED
+            ),
+        )
+        scenario = Scenario(
+            events=[
+                SiteFailure(site="site-0", at_seconds=150.0, recovery_at=1000.0),
+                SiteFailure(site="site-1", at_seconds=160.0, recovery_at=450.0),
+            ]
+        )
+        simulator = FleetSimulator(controller, scenario, clock=clock)
+        result = simulator.run(6)
+        assert controller.window_duration == 200.0
+        fired = [
+            event.time
+            for event in simulator.event_trace
+            if isinstance(event, TransferFailed) and event.site == "site-1"
+        ]
+        while_down = [t for t in fired if 200.0 <= t < 600.0]
+        in_window_3 = [t for t in fired if 600.0 <= t < 800.0]
+        assert while_down, "checkpoints must fail toward site-1 while it is down"
+        stats = {window.window_index: window.site_stats for window in result.windows}
+        assert "site-1" not in stats[1] and "site-1" not in stats[2]
+        assert stats[3]["site-1"].transfers_failed == len(while_down) + len(in_window_3)
 
     def test_link_loss_composes_with_the_model(self):
         # A lossless model over a very lossy link still fails transfers.

@@ -90,11 +90,10 @@ class TestSanitizedGoldenParity:
         assert controller._sanitizer.checks > 0
 
     def test_sanitized_preemptive_predictive_run_completes_clean(self):
-        """The widest engine surface: preemptive sites + predictive policy."""
+        """The widest engine surface: event-driven sites + predictive policy."""
         clock = ManualClock()
         controller = make_fleet(
-            3, 2, gpus_per_site=2, seed=0, clock=clock,
-            preemptive_sites=True, profile_sharing=True,
+            3, 2, gpus_per_site=2, seed=0, clock=clock, profile_sharing=True,
             control_policy="predictive", sanitize=True,
         )
         result = FleetSimulator(controller, golden_scenario(), clock=clock).run(5)

@@ -6,7 +6,7 @@ equivalence*: identical decisions, iteration and PickConfigs-evaluation
 counters and estimated accuracies to :class:`~repro.core.ThiefScheduler` on
 any request.  The scalar thief is the reference oracle — these properties
 fuzz randomized problems (fleet shapes, pruned grids, degraded sites, empty
-sites, hand-built accuracy landscapes, preemptive mode) and compare the two
+sites, hand-built accuracy landscapes) and compare the two
 paths field by field with ``==``, never with tolerances.
 """
 
@@ -296,15 +296,14 @@ class TestRandomizedFleets:
         streams_per_site=st.integers(min_value=0, max_value=3),
         gpus_per_site=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=1_000),
-        preemptive=st.booleans(),
         degrade=st.booleans(),
     )
     def test_fleet_summaries_bit_identical(
-        self, num_sites, streams_per_site, gpus_per_site, seed, preemptive, degrade
+        self, num_sites, streams_per_site, gpus_per_site, seed, degrade
     ):
-        """Randomized fleets — including empty sites (``streams_per_site=0``),
-        degraded GPUs and preemptive site internals — summarize identically
-        with cohort batching on and off."""
+        """Randomized fleets — including empty sites (``streams_per_site=0``)
+        and degraded GPUs — summarize identically with cohort batching on and
+        off."""
         summaries = {}
         windows = {}
         for batched in (False, True):
@@ -313,7 +312,6 @@ class TestRandomizedFleets:
                 streams_per_site,
                 gpus_per_site=gpus_per_site,
                 seed=seed,
-                preemptive_sites=preemptive,
                 batched_planning=batched,
             )
             if degrade and gpus_per_site > 1:

@@ -29,7 +29,7 @@ class TestDocumentation:
         assert readme.exists()
         text = readme.read_text(encoding="utf-8")
         assert ">>> from repro.fleet import" in text, "quickstart must be a doctest"
-        assert "preemptive_sites=True" in text
+        assert "retrainings_cancelled" in text
 
     def test_readme_quickstart_executes(self):
         """The README's fenced examples run exactly as printed."""

@@ -104,7 +104,7 @@ class TestEdgeSite:
         site = controller.site("site-0")
         assert site.healthy and site.load == pytest.approx(0.5)
         site.fail()
-        assert site.run_window(0) is None
+        assert site.plan_window(0) is None
         with pytest.raises(FleetError):
             site.attach(make_stream("waymo", 0, seed=0))
         site.recover()
@@ -120,7 +120,7 @@ class TestEdgeSite:
 
     def test_empty_site_is_idle(self):
         controller = _fleet(1, 0)
-        assert controller.site("site-0").run_window(0) is None
+        assert controller.site("site-0").plan_window(0) is None
 
     def test_spec_requires_name(self):
         with pytest.raises(FleetError):

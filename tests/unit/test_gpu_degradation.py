@@ -73,7 +73,6 @@ class TestSiteGpuBookkeeping:
     def test_zero_capacity_site_skips_windows_with_finite_load(self):
         _, site = _site()
         site.degrade_gpus(4)
-        assert site.run_window(0) is None
         assert site.plan_window(0) is None
         # Large but finite: inf would defeat the rebalancer's comparisons.
         assert site.load > 1e5
@@ -115,12 +114,11 @@ class TestGpuFailureScenarioEvent:
 
 
 class TestFleetGpuDegradation:
-    @pytest.mark.parametrize("preemptive", [False, True])
-    def test_flap_degrades_then_restores_capacity(self, preemptive):
+    # The flap must play out the same under per-site and fleet-batched planning.
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_flap_degrades_then_restores_capacity(self, batched):
         clock = ManualClock()
-        controller, site = _site(
-            2, 2, clock=clock, preemptive_sites=preemptive
-        )
+        controller, site = _site(2, 2, clock=clock, batched_planning=batched)
         scenario = Scenario(
             [GpuFailure(site="site-0", at_seconds=250.0, recovery_at=450.0, num_gpus=3)]
         )
@@ -136,7 +134,7 @@ class TestFleetGpuDegradation:
 
     def test_zero_capacity_preemptive_site_cancels_in_flight_retrainings(self):
         clock = ManualClock()
-        controller, site = _site(2, 2, clock=clock, preemptive_sites=True)
+        controller, site = _site(2, 2, clock=clock)
         scenario = Scenario(
             [GpuFailure(site="site-0", at_seconds=210.0, recovery_at=450.0, num_gpus=4)]
         )
@@ -155,7 +153,7 @@ class TestFleetGpuDegradation:
     def test_identical_seeds_replay_bit_identically(self):
         def run():
             clock = ManualClock()
-            controller, _ = _site(2, 2, clock=clock, preemptive_sites=True)
+            controller, _ = _site(2, 2, clock=clock)
             scenario = Scenario(
                 [
                     GpuFailure(
