@@ -17,7 +17,8 @@ seed, so workloads are exactly reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +66,44 @@ class DriftProfile:
             raise DatasetError("dropout_probability must be in [0, 1]")
 
 
+class _WalkPrefix:
+    """Memoised prefix of a seeded Gaussian random walk.
+
+    Position ``k`` is ``origin`` plus ``k + 1`` steps of ``normal(0, scale)``
+    drawn from one generator seeded with ``seed``.  Positions are computed
+    once, in order, so any query order returns the same arrays, bit for bit,
+    as replaying the walk from the origin.  The ``{position: array}`` memo is
+    a growth-only dict of read-only arrays.  The generator is seeded on the
+    first step: a fleet builds thousands of streams, and seeding is the
+    dominant cost of building one.
+    """
+
+    def __init__(self, seed: int, origin: np.ndarray, scale: float) -> None:
+        self._seed = seed
+        self._origin = origin
+        self._scale = scale
+        self._positions: Dict[int, np.ndarray] = {}
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return ensure_rng(self._seed)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        positions = self._positions
+        while len(positions) <= index:
+            previous = positions.get(len(positions) - 1, self._origin)
+            position = previous + self._rng.normal(0.0, self._scale, size=previous.shape)
+            position.setflags(write=False)
+            positions[len(positions)] = position
+        return positions[index]
+
+
 class ClassDistributionDrift:
-    """Per-window class-frequency vectors following a constrained random walk."""
+    """Per-window class-frequency vectors following a constrained random walk.
+
+    The logit walk is a memoised prefix, as for :class:`AppearanceDrift`;
+    the regime, diurnal and dropout terms are applied per query.
+    """
 
     def __init__(
         self,
@@ -85,6 +122,12 @@ class ClassDistributionDrift:
             base = taxonomy.validate_distribution(base_distribution)
         self._base_logits = np.log(np.clip(base, 1e-6, None))
         self._regimes = self._make_regimes()
+        # One integer derived once seeds both the logit walk and the
+        # per-window dropout draws.
+        self._root_seed = int(self._rng.integers(0, 2**31 - 1))
+        self._logits = _WalkPrefix(
+            self._root_seed, self._base_logits, profile.distribution_volatility
+        )
 
     def _make_regimes(self) -> List[np.ndarray]:
         """Pre-draw a handful of distribution regimes to alternate between."""
@@ -99,12 +142,7 @@ class ClassDistributionDrift:
         if window_index < 0:
             raise DatasetError("window_index must be non-negative")
         profile = self._profile
-        # Recompute the random walk from the start for every request so that
-        # windows can be queried out of order and still agree.
-        logits = self._base_logits.copy()
-        walk_rng = ensure_rng(int(self._rng_integer()))
-        for step in range(window_index + 1):
-            logits = logits + walk_rng.normal(0.0, profile.distribution_volatility, size=logits.shape)
+        logits = self._logits[window_index]
         if profile.regime_period:
             regime_index = (window_index // profile.regime_period) % len(self._regimes)
             logits = 0.5 * logits + 0.5 * self._regimes[regime_index]
@@ -115,22 +153,29 @@ class ClassDistributionDrift:
         distribution = np.exp(logits - logits.max())
         distribution /= distribution.sum()
         # Class dropout: zero-out a random minority class occasionally.
-        dropout_rng = ensure_rng(int(self._rng_integer()) + window_index)
+        dropout_rng = ensure_rng(self._root_seed + window_index)
         if dropout_rng.random() < profile.dropout_probability and distribution.size > 2:
             victim = int(np.argsort(distribution)[0])
             distribution[victim] = 0.0
             distribution /= distribution.sum()
         return distribution
 
-    # A fixed integer derived once so the per-window walks share a root seed.
-    def _rng_integer(self) -> int:
-        if not hasattr(self, "_root_seed"):
-            self._root_seed = int(self._rng.integers(0, 2**31 - 1))
-        return self._root_seed
-
 
 class AppearanceDrift:
-    """Per-window displacement of each class's cluster centre in feature space."""
+    """Per-window displacement of each class's cluster centre in feature space.
+
+    The oracle asks for the same few windows many times per simulated window,
+    so both queries are memoised.  Every memo follows one contract: it is a
+    dict, it only ever grows, and it is keyed on the full inputs of a pure
+    function of the seed — never on model state — so nothing a run commits
+    can make an entry stale.
+
+    * The walk prefix ``{window: offsets}`` is extended one step at a time
+      from one walk generator, drawing the same normals in the same order
+      as a replay from window 0, so any query order gives bit-identical
+      offsets.  Returned arrays are read-only.
+    * :meth:`drift_magnitude` is memoised per ``(from_window, to_window)``.
+    """
 
     def __init__(
         self,
@@ -147,22 +192,22 @@ class AppearanceDrift:
         self._feature_dim = feature_dim
         self._rng = ensure_rng(seed)
         self._root_seed = int(self._rng.integers(0, 2**31 - 1))
+        self._offsets = _WalkPrefix(
+            self._root_seed,
+            np.zeros((taxonomy.num_classes, feature_dim)),
+            profile.appearance_volatility,
+        )
+        self._magnitudes: Dict[Tuple[int, int], float] = {}
 
     @property
     def feature_dim(self) -> int:
         return self._feature_dim
 
     def offsets_for_window(self, window_index: int) -> np.ndarray:
-        """(num_classes, feature_dim) array of cluster-centre offsets."""
+        """Read-only (num_classes, feature_dim) array of cluster-centre offsets."""
         if window_index < 0:
             raise DatasetError("window_index must be non-negative")
-        walk_rng = ensure_rng(self._root_seed)
-        offsets = np.zeros((self._taxonomy.num_classes, self._feature_dim))
-        for _ in range(window_index + 1):
-            offsets = offsets + walk_rng.normal(
-                0.0, self._profile.appearance_volatility, size=offsets.shape
-            )
-        return offsets
+        return self._offsets[window_index]
 
     def drift_magnitude(self, from_window: int, to_window: int) -> float:
         """Mean per-class displacement between two windows.
@@ -172,6 +217,11 @@ class AppearanceDrift:
         retraining (§4: Ekya prioritises the streams whose characteristics
         changed the most).
         """
-        a = self.offsets_for_window(from_window)
-        b = self.offsets_for_window(to_window)
-        return float(np.mean(np.linalg.norm(b - a, axis=1)))
+        key = (from_window, to_window)
+        magnitude = self._magnitudes.get(key)
+        if magnitude is None:
+            a = self.offsets_for_window(from_window)
+            b = self.offsets_for_window(to_window)
+            magnitude = float(np.mean(np.linalg.norm(b - a, axis=1)))
+            self._magnitudes[key] = magnitude
+        return magnitude

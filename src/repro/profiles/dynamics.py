@@ -112,7 +112,16 @@ class StreamDynamics(abc.ABC):
 
 
 class AnalyticDynamics(StreamDynamics):
-    """Deterministic drift-driven accuracy model (the simulator's 'trace')."""
+    """Deterministic drift-driven accuracy model (the simulator's 'trace').
+
+    The per-window ceiling is memoised per ``(stream.name, window_index)``,
+    the same per-name stream identity the serving-model states and the
+    ``stable_seed("ceiling", ...)`` draw rely on.  Like the drift memos
+    underneath (see :class:`~repro.datasets.drift.AppearanceDrift`), the memo
+    is a dict, only ever grows, and is keyed on the full inputs of a pure
+    function, never on model state: ``commit_window``, ``invalidate_stream``,
+    migrations and cold restarts change the states, never a memoised value.
+    """
 
     def __init__(
         self,
@@ -135,14 +144,20 @@ class AnalyticDynamics(StreamDynamics):
         self._initial_staleness = initial_staleness_windows
         self._seed = seed
         self._states: Dict[str, StreamState] = {}
+        self._ceilings: Dict[Tuple[str, int], float] = {}
 
     # ------------------------------------------------------------ internals
     def _ceiling(self, stream: VideoStream, window_index: int) -> float:
         """Best accuracy any retraining can reach on this window's content."""
-        rng = ensure_rng(stable_seed("ceiling", stream.name, window_index, base=self._seed))
-        wobble = rng.uniform(-self._ceiling_spread, self._ceiling_spread)
-        golden_noise = stream.golden_model.error_rate
-        return clamp(self._ceiling_base + wobble - golden_noise, 0.3, 0.99)
+        key = (stream.name, window_index)
+        ceiling = self._ceilings.get(key)
+        if ceiling is None:
+            rng = ensure_rng(stable_seed("ceiling", stream.name, window_index, base=self._seed))
+            wobble = rng.uniform(-self._ceiling_spread, self._ceiling_spread)
+            golden_noise = stream.golden_model.error_rate
+            ceiling = clamp(self._ceiling_base + wobble - golden_noise, 0.3, 0.99)
+            self._ceilings[key] = ceiling
+        return ceiling
 
     def _state(self, stream: VideoStream) -> StreamState:
         state = self._states.get(stream.name)

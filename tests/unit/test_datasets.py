@@ -124,6 +124,104 @@ class TestAppearanceDrift:
         assert np.allclose(drift.offsets_for_window(4), drift.offsets_for_window(4))
 
 
+def _replay_offsets(drift, window_index):
+    """From-scratch replay of the appearance walk: the memo's reference."""
+    walk_rng = np.random.default_rng(drift._root_seed)
+    offsets = np.zeros((drift._taxonomy.num_classes, drift.feature_dim))
+    for _ in range(window_index + 1):
+        offsets = offsets + walk_rng.normal(
+            0.0, drift._profile.appearance_volatility, size=offsets.shape
+        )
+    return offsets
+
+
+def _replay_distribution(drift, window_index):
+    """From-scratch replay of the class-distribution walk plus per-window terms."""
+    profile = drift._profile
+    logits = drift._base_logits.copy()
+    walk_rng = np.random.default_rng(drift._root_seed)
+    for _ in range(window_index + 1):
+        logits = logits + walk_rng.normal(0.0, profile.distribution_volatility, size=logits.shape)
+    if profile.regime_period:
+        regime_index = (window_index // profile.regime_period) % len(drift._regimes)
+        logits = 0.5 * logits + 0.5 * drift._regimes[regime_index]
+    if profile.diurnal:
+        phase = 2.0 * np.pi * window_index / 12.0
+        logits = logits + 0.6 * np.sin(phase + np.arange(logits.size))
+    distribution = np.exp(logits - logits.max())
+    distribution /= distribution.sum()
+    dropout_rng = np.random.default_rng(drift._root_seed + window_index)
+    if dropout_rng.random() < profile.dropout_probability and distribution.size > 2:
+        distribution[int(np.argsort(distribution)[0])] = 0.0
+        distribution /= distribution.sum()
+    return distribution
+
+
+def _shuffled_queries(seed):
+    """Windows 0..24 shuffled, with repeats and a late-then-early jump."""
+    windows = list(np.random.default_rng(seed).permutation(25)) + [24, 3, 3, 17, 0]
+    return [int(window) for window in windows]
+
+
+class TestDriftMemoMatchesReplay:
+    """The memoised walks are bit-identical to a replay from window 0."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_offsets_bitwise(self, seed):
+        drift = AppearanceDrift(
+            ClassTaxonomy(), DriftProfile(appearance_volatility=0.2), feature_dim=8, seed=seed
+        )
+        for window in _shuffled_queries(seed):
+            np.testing.assert_array_equal(
+                drift.offsets_for_window(window), _replay_offsets(drift, window)
+            )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_drift_magnitude_bitwise(self, seed):
+        drift = AppearanceDrift(ClassTaxonomy(), DriftProfile(), feature_dim=8, seed=seed)
+        windows = _shuffled_queries(seed)
+        for from_window, to_window in zip(windows, reversed(windows)):
+            expected = float(
+                np.mean(
+                    np.linalg.norm(
+                        _replay_offsets(drift, to_window) - _replay_offsets(drift, from_window),
+                        axis=1,
+                    )
+                )
+            )
+            assert drift.drift_magnitude(from_window, to_window) == expected
+            assert drift.drift_magnitude(from_window, to_window) == expected
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            DriftProfile(),
+            DriftProfile(regime_period=4, dropout_probability=0.5),
+            DriftProfile(diurnal=True, distribution_volatility=0.5),
+        ],
+    )
+    def test_distribution_bitwise(self, profile):
+        drift = ClassDistributionDrift(ClassTaxonomy(), profile, seed=5)
+        for window in _shuffled_queries(5):
+            np.testing.assert_array_equal(
+                drift.distribution_for_window(window), _replay_distribution(drift, window)
+            )
+
+    def test_returned_offsets_are_read_only(self):
+        drift = AppearanceDrift(ClassTaxonomy(), DriftProfile(), feature_dim=8, seed=1)
+        offsets = drift.offsets_for_window(3)
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 1.0
+        np.testing.assert_array_equal(drift.offsets_for_window(3), _replay_offsets(drift, 3))
+
+    def test_returned_distribution_is_a_fresh_array(self):
+        drift = ClassDistributionDrift(ClassTaxonomy(), DriftProfile(), seed=1)
+        drift.distribution_for_window(2)[:] = 0.0
+        np.testing.assert_array_equal(
+            drift.distribution_for_window(2), _replay_distribution(drift, 2)
+        )
+
+
 class TestFeatureSynthesizer:
     def test_sample_shapes(self):
         synthesizer = FeatureSynthesizer(ClassTaxonomy(), FeatureSpaceSpec(feature_dim=12), seed=1)
