@@ -10,12 +10,11 @@ the scenario seed, so the committed baseline
 
     PYTHONPATH=src python benchmarks/bench_policy.py
 
-``run_benchmarks.py --quick`` runs :func:`check_quick_policy_gate` on
-every PR: the greedy arm of the cheapest scenario must reproduce the
-committed baseline bit for bit (the policy plane's default path must never
-drift), and the predictive arm must not regress the fleet mean below the
-greedy arm on that same calendar.  The full run appends the whole A/B
-table to ``BENCH_fleet.json`` under a ``policy`` key.
+``run_benchmarks.py`` runs :func:`check_policy_against_baseline` on every
+PR, ``--quick`` included: both arms of all three scenarios must reproduce
+the committed baseline bit for bit (the greedy arm is the default control
+plane and must never drift).  The full run appends the whole A/B table to
+``BENCH_fleet.json`` under a ``policy`` key.
 """
 
 from __future__ import annotations
@@ -31,18 +30,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_io import append_trajectory, load_json_if_exists  # noqa: E402
 from fleet_bench_core import BENCH_FLEET_JSON_PATH  # noqa: E402
 
-from repro.fleet.policy.ab import (  # noqa: E402
-    COMPARED_METRICS,
-    reference_scenarios,
-    run_policy_ab,
-)
+from repro.fleet.policy.ab import COMPARED_METRICS, run_policy_ab  # noqa: E402
 
 POLICY_BASELINE_PATH = (
     Path(__file__).resolve().parent / "baselines" / "policy_baseline.json"
 )
-
-#: The scenario the ``--quick`` gate replays (cheapest of the reference set).
-QUICK_SCENARIO = "flash_crowd"
 
 
 def measure_policy_ab() -> Dict:
@@ -102,45 +94,6 @@ def check_policy_against_baseline(measured: Dict, baseline: Dict) -> List[str]:
             f"predictive wins {measured['predictive_wins']} of "
             f"{measured['num_scenarios']} scenarios, committed baseline "
             f"says {base_wins}"
-        )
-    return failures
-
-
-def check_quick_policy_gate(path: Optional[Path] = None) -> List[str]:
-    """The ``run_benchmarks.py --quick`` gate: one scenario, both arms.
-
-    Replays the cheapest reference scenario under both policies and checks
-    (a) the greedy arm reproduces the committed baseline bit for bit — the
-    policy refactor's default path must stay the pre-policy engine — and
-    (b) the predictive arm's fleet mean does not regress below the greedy
-    arm on the identical calendar.
-    """
-    baseline = load_policy_baseline(path)
-    specs = [spec for spec in reference_scenarios() if spec.name == QUICK_SCENARIO]
-    comparison = run_policy_ab(specs)[0]
-    failures: List[str] = []
-    if baseline is not None:
-        base_rows = {row["scenario"]: row for row in baseline.get("scenarios", [])}
-        base = base_rows.get(QUICK_SCENARIO)
-        if base is None:
-            failures.append(
-                f"committed policy baseline has no {QUICK_SCENARIO!r} scenario "
-                "to check the quick gate against"
-            )
-        else:
-            for metric in COMPARED_METRICS:
-                got, want = comparison.greedy.metrics[metric], base["greedy"][metric]
-                if got != want:
-                    failures.append(
-                        f"default-policy {QUICK_SCENARIO} {metric} is {got!r}, "
-                        f"committed baseline says {want!r} (must match exactly)"
-                    )
-    greedy_mean = comparison.greedy.metrics["mean_accuracy"]
-    predictive_mean = comparison.predictive.metrics["mean_accuracy"]
-    if predictive_mean < greedy_mean - 1e-9:
-        failures.append(
-            f"predictive fleet mean {predictive_mean:.6f} regressed below the "
-            f"greedy arm {greedy_mean:.6f} on the {QUICK_SCENARIO} calendar"
         )
     return failures
 

@@ -21,11 +21,9 @@ comparable to the machine the baselines were recorded on.
 fleet parity check (the smallest baseline site count, compared bit for bit
 against ``fleet_baseline.json`` — proving ``make_fleet``'s cross-site
 profile sharing stays strictly opt-in), the telemetry memory bound, and
-the control-policy gate (the default greedy arm of the cheapest reference
-scenario must reproduce ``policy_baseline.json`` bit for bit, and the
-predictive arm must not regress the fleet mean below greedy on the same
-calendar), skipping the scaling sweeps — the smoke mode CI uses on every
-PR.
+the control-policy gate (both arms of all three reference scenarios must
+reproduce ``policy_baseline.json`` bit for bit, as in the full run),
+skipping the scaling sweeps — the smoke mode CI uses on every PR.
 
 Usage::
 
@@ -42,7 +40,6 @@ from pathlib import Path
 
 from bench_policy import (
     check_policy_against_baseline,
-    check_quick_policy_gate,
     load_policy_baseline,
     measure_policy_ab,
 )
@@ -54,7 +51,6 @@ from fleet_bench_core import (
     check_quick_fleet_parity,
     emit_fleet_bench_json,
     load_fleet_baseline,
-    measure_batched_fleet_planning,
     measure_failure_scenario,
     measure_fleet_scaling,
     measure_heterogeneous_fleet,
@@ -215,7 +211,7 @@ def main(argv=None) -> int:
         f"speedup vs seed path {operating_point['wall_clock_speedup']:.1f}x"
     )
 
-    print("measuring batched planner A/B (100 streams, scalar vs cohort-stacked)...")
+    print("measuring batched planner A/B (100 streams, scalar vs stacked)...")
     batched = measure_batched_planner()
     print(
         f"  scalar {batched['scalar_runtime_seconds'] * 1000:.1f} ms | "
@@ -301,16 +297,6 @@ def main(argv=None) -> int:
             f"  predictive wins {policy['predictive_wins']} of "
             f"{policy['num_scenarios']} scenarios"
         )
-        print("measuring fleet cohort planning (batched on/off, 1 -> 16 sites)...")
-        batched_fleet = measure_batched_fleet_planning()
-        for row in batched_fleet["rows"]:
-            print(
-                f"  {row['num_sites']:3d} sites: per-site planning "
-                f"{row['scalar_per_site_planning_seconds'] * 1000:6.1f} -> "
-                f"{row['batched_per_site_planning_seconds'] * 1000:6.1f} ms | "
-                f"speedup {row['planning_speedup']:.2f}x | "
-                f"identical {row['summaries_identical']}"
-            )
         fleet_path = emit_fleet_bench_json(
             fleet_scaling,
             scenario,
@@ -319,7 +305,6 @@ def main(argv=None) -> int:
             profile_sharing=sharing,
             telemetry=telemetry,
             policy=policy,
-            batched_planning=batched_fleet,
         )
         print(f"fleet trajectory appended to {fleet_path}")
 
@@ -360,17 +345,17 @@ def main(argv=None) -> int:
         # window counts and under the absolute byte bound.
         print("checking telemetry memory bound against the committed baseline...")
         failures.extend(check_quick_telemetry_bound())
-        # And the control-policy plane: the default greedy arm must match
-        # the committed baseline bit for bit, and the predictive arm must
-        # not regress the fleet mean below greedy on the same calendar.
-        print("checking control-policy gate against the committed baseline...")
-        failures.extend(check_quick_policy_gate())
+    # The control-policy plane, in both modes: every reference scenario's
+    # greedy (default) and predictive arms must match the committed A/B
+    # table bit for bit.
+    policy_baseline = load_policy_baseline()
+    if policy_baseline is None:
+        print("no committed policy baseline; skipping the policy gate")
     else:
-        policy_baseline = load_policy_baseline()
-        if policy_baseline is None:
-            print("no committed policy baseline; skipping the policy gate")
-        else:
-            failures.extend(check_policy_against_baseline(policy, policy_baseline))
+        if args.quick:
+            print("checking control-policy A/B (3 scenarios, both arms) against the baseline...")
+            policy = measure_policy_ab()
+        failures.extend(check_policy_against_baseline(policy, policy_baseline))
     if failures:
         print("REGRESSION DETECTED:")
         for message in failures:

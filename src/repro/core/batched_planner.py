@@ -1,23 +1,22 @@
-"""Fleet-batched planning: the thief scheduler over stacked lattice tensors.
+"""Batched planning: the thief scheduler over stacked lattice tensors.
 
 :mod:`repro.core.candidate_table` vectorised Algorithm 2 *within* one stream:
 a lattice column — every retraining level at one inference level — is a single
-masked argmax.  This module batches *across* streams (and, at the fleet layer,
-across every site whose ``WindowBoundary`` fires at the same instant): all
-pending columns are stacked into one numpy evaluation over
+masked argmax.  This module batches *across* a site's streams: all pending
+columns are stacked into one numpy evaluation over
 ``(row, retraining_level, retraining_config)`` tensors, where a *row* is one
-``(site, stream, inference_level)`` triple.  Per-row scalars (window length,
-a_min, quantum, lattice size) broadcast elementwise, so heterogeneous sites —
-different GPU counts, degraded capacity, different window durations — stack
-into the same call.
+``(stream, inference_level)`` pair.  Per-row scalars (window length, a_min,
+quantum, lattice size) broadcast elementwise, so streams with different
+profiles, pruned grids and inference tiers stack into the same call.
 
 Correctness contract: the scalar path (:class:`~repro.core.thief.
 ThiefScheduler` over per-stream :class:`~repro.core.candidate_table.
 CandidateTable` columns, with :func:`repro.core.pick_configs.pick_configs` as
 the root oracle) remains the reference, and
-:class:`BatchedThiefScheduler` is **bit-identical** to it: same decisions,
-same estimated accuracies, same iteration and evaluation counters.  Two rules
-make that hold:
+:class:`BatchedThiefScheduler` — the planner every
+:class:`~repro.core.controller.EkyaPolicy` runs — is **bit-identical** to
+it: same decisions, same estimated accuracies, same iteration and
+evaluation counters.  Two rules make that hold:
 
 * every stacked operation is an IEEE-exact elementwise twin (add/sub/mul/div/
   min/max/compare) of the scalar op on the same operands — vectorisation
@@ -30,11 +29,12 @@ make that hold:
   loop's verbatim.
 
 The property suite (``tests/property/test_property_batched_planner.py``)
-fuzzes randomized fleets against the oracle to enforce the contract.
+fuzzes randomized requests and whole fleets against the scalar oracle to
+enforce the contract.
 
 Why batching wins: the thief's steal trajectories visit only a handful of
 distinct inference levels, but visit them for *every* stream.  Computing a
-missed column for all of a cohort's streams at once replaces hundreds of
+missed column for all of a site's streams at once replaces hundreds of
 small per-stream numpy dispatches with a few large ones; the speculative
 columns land in each table's memo, where the sibling streams' queries find
 them.  ``pick_configs_evaluations`` keeps the oracle's meaning — distinct
@@ -43,7 +43,7 @@ columns actually *queried* — so the counter is comparable across both paths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,9 +95,9 @@ class _HeavyRow:
 class _ScratchPool:
     """Reusable backing buffers for the stacked ``(row, level, config)`` math.
 
-    A 100-stream cohort call builds a dozen ~1 MiB tensors; allocating them
-    fresh on every call makes page faults, not arithmetic, the dominant cost
-    (4 cohort calls per schedule → ~50 MiB of first-touch traffic).  Each
+    A 100-stream stacked call builds a dozen ~1 MiB tensors; allocating
+    them fresh on every call makes page faults, not arithmetic, the dominant
+    cost (4 stacked calls per schedule → ~50 MiB of first-touch traffic).  Each
     named slot hands back a view over a grow-only flat buffer instead, so
     repeat calls run entirely on warm pages.  The pool only ever changes
     *where* a temporary lives, never its value, so bit-identity with the
@@ -340,7 +340,7 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
     fast = np.nonzero(base_meets_col)[0]
     if fast.size:
         if fast.size == num_heavy:
-            # All rows take the fast path (the common cohort shape): skip
+            # All rows take the fast path (the common shape): skip
             # the fancy-index copies and mask eligibility in scratch —
             # value-identical to np.where over the fast subset.
             if meets3 is not None:
@@ -434,83 +434,22 @@ def inference_gpu_of(table: CandidateTable, units: int) -> float:
     return units * table._quantum
 
 
-class _CohortContext:
-    """Per-request state for one sweep of the batched thief."""
-
-    __slots__ = (
-        "request",
-        "stream_names",
-        "tables_list",
-        "column_maps",
-        "units",
-        "base_runtime",
-    )
-
-    def __init__(
-        self,
-        request: ScheduleRequest,
-        stream_names: List[str],
-        tables_list: List[CandidateTable],
-        units: List[int],
-    ) -> None:
-        self.request = request
-        self.stream_names = stream_names
-        self.tables_list = tables_list
-        self.column_maps = [table._columns for table in tables_list]
-        self.units = units
-        self.base_runtime = 0.0
-
-
 class BatchedThiefScheduler(ThiefScheduler):
-    """The thief scheduler with cross-stream (and cross-site) column batching.
+    """The thief scheduler with cross-stream column batching.
 
     Bit-identical to :class:`~repro.core.thief.ThiefScheduler` — same steal
     trajectory, same decisions, accuracies and counters — but every lattice
-    column the trajectory misses is computed for *all* streams of the cohort
-    in one stacked numpy call (:func:`compute_columns_batched`), and the
-    steal loop itself runs on flat integer lists instead of the allocation
-    vector's dict operations.  :meth:`schedule_cohort` extends the batch
-    across many requests: all same-instant sites' fair-start columns stack
-    into a single ``(site, stream, level, config)`` evaluation before the
-    per-site sweeps run.
-
-    ``scheduler_runtime_seconds`` attributes the shared cohort precompute
-    evenly across the cohort's requests; with a
-    :class:`~repro.utils.clock.ManualClock` it is 0.0 either way.
+    column the trajectory misses is computed for *all* of the request's
+    streams in one stacked numpy call (:func:`compute_columns_batched`), and
+    the steal loop itself runs on flat integer lists instead of the
+    allocation vector's dict operations.  The fair-start columns of every
+    stream are seeded in one stacked call before the sweep starts.
     """
 
     name = "ekya-thief-batched"
 
     def schedule(self, request: ScheduleRequest) -> WindowSchedule:
-        return self.schedule_cohort({"": request})[""]
-
-    def schedule_cohort(
-        self, requests: Mapping[str, ScheduleRequest]
-    ) -> Dict[str, WindowSchedule]:
-        """Plan every request of one boundary cohort; keys are preserved."""
-        if not requests:
-            return {}
-        contexts: List[Tuple[str, _CohortContext]] = []
-        prepare_elapsed: List[float] = []
-        fair_rows: List[Tuple[CandidateTable, int]] = []
-        for key, request in requests.items():
-            watch = Stopwatch(self._clock)
-            context = self._prepare(request)
-            contexts.append((key, context))
-            prepare_elapsed.append(watch.elapsed())
-            for index, table in enumerate(context.tables_list):
-                fair_rows.append((table, context.units[2 * index]))
-        shared_watch = Stopwatch(self._clock)
-        compute_columns_batched(fair_rows)
-        shared = shared_watch.elapsed() / len(contexts)
-        schedules: Dict[str, WindowSchedule] = {}
-        for (key, context), prepared in zip(contexts, prepare_elapsed):
-            context.base_runtime = prepared + shared
-            schedules[key] = self._sweep(context)
-        return schedules
-
-    # ----------------------------------------------------------------- setup
-    def _prepare(self, request: ScheduleRequest) -> _CohortContext:
+        watch = Stopwatch(self._clock)
         quantum = self._steal_quantum if self._steal_quantum is not None else request.delta
         quantum = min(quantum, request.total_gpus)
         allocation = self.fair_start(request, quantum)
@@ -528,15 +467,21 @@ class BatchedThiefScheduler(ThiefScheduler):
         for name in stream_names:
             units.append(allocation.units(inference_job_id(name)))
             units.append(allocation.units(retraining_job_id(name)))
-        return _CohortContext(request, stream_names, tables_list, units)
+        compute_columns_batched(
+            [(table, units[2 * index]) for index, table in enumerate(tables_list)]
+        )
+        return self._sweep(request, stream_names, tables_list, units, watch)
 
     # ----------------------------------------------------------------- sweep
-    def _sweep(self, context: _CohortContext) -> WindowSchedule:
-        watch = Stopwatch(self._clock)
-        request = context.request
-        tables_list = context.tables_list
-        column_maps = context.column_maps
-        units = context.units
+    def _sweep(
+        self,
+        request: ScheduleRequest,
+        stream_names: List[str],
+        tables_list: List[CandidateTable],
+        units: List[int],
+        watch: Stopwatch,
+    ) -> WindowSchedule:
+        column_maps = [table._columns for table in tables_list]
         num_streams = len(tables_list)
         num_jobs = 2 * num_streams
         patience = self._patience
@@ -723,7 +668,7 @@ class BatchedThiefScheduler(ThiefScheduler):
                 break
 
         decisions = {}
-        for stream, name in enumerate(context.stream_names):
+        for stream, name in enumerate(stream_names):
             inference_units = units[2 * stream]
             if queried[stream][inference_units] is None:
                 # Unreachable in practice (the final lattice point was always
@@ -739,7 +684,7 @@ class BatchedThiefScheduler(ThiefScheduler):
             estimated_average_accuracy=safe_mean(
                 [d.estimated_average_accuracy for d in decisions.values()]
             ),
-            scheduler_runtime_seconds=context.base_runtime + watch.elapsed(),
+            scheduler_runtime_seconds=watch.elapsed(),
             iterations=iterations,
             pick_configs_evaluations=evaluations,
         )

@@ -3,8 +3,11 @@
 :class:`EkyaPolicy` is the full system: at the start of every retraining
 window it micro-profiles (or queries the oracle profiler for) every stream's
 candidate retraining configurations and runs the thief scheduler over the
-resulting profiles.  Two ablated variants reproduce the factor analysis of
-Figure 8:
+resulting profiles.  The thief is always the
+:class:`~repro.core.batched_planner.BatchedThiefScheduler`, which is
+bit-identical to the scalar :class:`~repro.core.thief.ThiefScheduler` (kept
+as the test oracle) and faster.  Two ablated variants reproduce the factor
+analysis of Figure 8:
 
 * ``fixed_resources=True`` (Ekya-FixedRes) keeps the uniform baseline's
   static inference/retraining split but still selects configurations with the
@@ -29,12 +32,18 @@ from .batched_planner import BatchedThiefScheduler
 from .microprofiler import ProfileSource
 from .pick_configs import pick_configs
 from .policy import ProfiledPolicy
-from .thief import ThiefScheduler
 from .types import ScheduleRequest, WindowSchedule
 
 
 class EkyaPolicy(ProfiledPolicy):
-    """Full Ekya: joint configuration selection and resource allocation."""
+    """Full Ekya: joint configuration selection and resource allocation.
+
+    Windows are planned by one
+    :class:`~repro.core.batched_planner.BatchedThiefScheduler`; there is no
+    planner option.  The ``fixed_resources`` ablation picks configurations
+    with :func:`~repro.core.pick_configs.pick_configs` over a static split and
+    never runs the thief.
+    """
 
     def __init__(
         self,
@@ -47,19 +56,12 @@ class EkyaPolicy(ProfiledPolicy):
         fixed_retraining_config: Optional[RetrainingConfig] = None,
         name: Optional[str] = None,
         clock: Optional[Clock] = None,
-        batched_planning: bool = False,
     ) -> None:
         super().__init__(profile_source, config_space)
         if not 0.0 < inference_share_when_fixed < 1.0:
             raise SchedulingError("inference_share_when_fixed must be in (0, 1)")
-        if batched_planning and fixed_resources:
-            # Fixed-resource ablation never runs the thief, so the batched
-            # scheduler would be a silently dead flag.
-            raise SchedulingError("batched_planning is incompatible with fixed_resources")
         self._clock = clock
-        scheduler_cls = BatchedThiefScheduler if batched_planning else ThiefScheduler
-        self._scheduler = scheduler_cls(steal_quantum=steal_quantum, clock=clock)
-        self._batched_planning = batched_planning
+        self._scheduler = BatchedThiefScheduler(steal_quantum=steal_quantum, clock=clock)
         self._fixed_resources = fixed_resources
         self._inference_share = inference_share_when_fixed
         self._fixed_config = fixed_retraining_config
@@ -74,18 +76,8 @@ class EkyaPolicy(ProfiledPolicy):
 
     # ------------------------------------------------------------- interface
     @property
-    def batched_planning(self) -> bool:
-        return self._batched_planning
-
-    @property
-    def scheduler(self) -> ThiefScheduler:
-        """The thief scheduler instance planning this policy's windows.
-
-        With ``batched_planning=True`` this is a
-        :class:`~repro.core.batched_planner.BatchedThiefScheduler`, whose
-        ``schedule_cohort`` the fleet event loop feeds whole same-instant
-        boundary cohorts (requests built via :meth:`prepare_request`).
-        """
+    def scheduler(self) -> BatchedThiefScheduler:
+        """The thief scheduler instance planning this policy's windows."""
         return self._scheduler
 
     def prepare_request(
@@ -97,9 +89,7 @@ class EkyaPolicy(ProfiledPolicy):
         """Build (and profile) this window's request without solving it.
 
         The profiling half of :meth:`plan_window`: all profile-source side
-        effects (micro-profiling cost, estimator-error draws) happen here,
-        in call order, so a fleet that batches many sites' *solves* into one
-        call still profiles site by site exactly as the scalar path does.
+        effects (micro-profiling cost, estimator-error draws) happen here.
         """
         request = self.build_request(streams, window_index, spec)
         if self._fixed_config is not None:

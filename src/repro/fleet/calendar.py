@@ -350,15 +350,6 @@ class EventCalendar:
         """Timestamp of the next event, or ``None`` when the calendar is empty."""
         return self._heap[0][0] if self._heap else None
 
-    def peek(self) -> Optional[SimEvent]:
-        """The next event without popping it, or ``None`` when empty.
-
-        Lets the fleet's batched-planning loop collect a whole cohort of
-        same-instant :class:`WindowBoundary` events (they are contiguous at
-        the head: nothing else shares their priority) before dispatching.
-        """
-        return self._heap[0][3] if self._heap else None
-
     def pop(self) -> SimEvent:
         """Remove and return the next event, advancing simulated time to it."""
         if not self._heap:

@@ -130,7 +130,6 @@ def make_fleet(
     telemetry: Optional[TelemetryConfig] = None,
     control_policy: Union[str, ControlPolicy] = "greedy",
     sanitize: bool = False,
-    batched_planning: bool = False,
 ) -> FleetController:
     """Build a fleet of Ekya sites with the initial workload already admitted.
 
@@ -207,14 +206,11 @@ def make_fleet(
     fleet's results are bit-identical to an unsanitized one (gated by the
     golden-parity suite) — but digesting is slow; debug/CI use only.
 
-    ``batched_planning`` swaps the shared policy's scheduler for the
-    :class:`~repro.core.batched_planner.BatchedThiefScheduler` and makes the
-    event loop solve whole same-instant boundary cohorts in one stacked
-    numpy call (profiling still runs site by site, in boundary order).
-    Results are bit-identical to the scalar path — same decisions,
-    accuracies and counters — the property suite
-    (``tests/property/test_property_batched_planner.py``) enforces it; the
-    win is planning wall-clock on wide fleets and many-stream sites.
+    There is no planner option: every site plans its own window at its
+    boundary with the shared policy's
+    :class:`~repro.core.batched_planner.BatchedThiefScheduler`, which the
+    property suite (``tests/property/test_property_batched_planner.py``)
+    proves bit-identical to the scalar thief oracle on whole fleets.
     """
     if num_sites < 1:
         raise FleetError("num_sites must be >= 1")
@@ -262,7 +258,6 @@ def make_fleet(
         steal_quantum=delta,
         name="Ekya",
         clock=clock,
-        batched_planning=batched_planning,
     )
     sites = []
     for index in range(num_sites):
@@ -305,7 +300,6 @@ def make_fleet(
         telemetry=telemetry,
         control_policy=control_policy,
         sanitize=sanitize,
-        batched_planning=batched_planning,
         seed=seed,
     )
     total_streams = num_sites * streams_per_site

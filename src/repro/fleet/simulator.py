@@ -223,8 +223,6 @@ class FleetSimulator:
                 "telemetry must be a TelemetryConfig or TelemetryPlane, "
                 f"got {type(telemetry).__name__}"
             )
-        #: Cohort planning: same-instant boundaries solved in one stacked call.
-        self._batched = controller.batched_planning
         #: Open (planned, not fully settled) window per site.  Windows are
         #: planned at their boundary, settle retrainings at per-stream
         #: RetrainingComplete events, and cancel in-flight retrainings when
@@ -506,13 +504,7 @@ class FleetSimulator:
             event = calendar.pop()
             if self._record_events:
                 self._telemetry.record_event(event)
-            if self._batched and isinstance(event, WindowBoundary):
-                # Same-instant boundaries are contiguous at the heap head
-                # (nothing else shares their priority), and every member is
-                # strictly before t_end because the first one was.
-                self._on_boundary_cohort(self._collect_cohort(event))
-            else:
-                self._dispatch(event)
+            self._dispatch(event)
         # Fleet site order — the order same-instant boundaries pop in — so
         # a flushed cycle lists its sites and streams as a boundary would.
         for site in self._controller.sites:
@@ -726,19 +718,8 @@ class FleetSimulator:
             sharing.store.push(key, profile, at_seconds=event.time)
 
     def _on_window_boundary(self, boundary: WindowBoundary) -> None:
-        prepared = self._prepare_boundary(boundary)
-        if prepared is None:
-            return
-        site, cycle, delays = prepared
-        self._plan_site_window(site, boundary, cycle, delays)
-
-    def _prepare_boundary(
-        self, boundary: WindowBoundary
-    ) -> Optional[Tuple[EdgeSite, FleetWindowResult, Optional[Dict[str, float]]]]:
-        """Everything a boundary does *before* planning: settle the previous
-        open window, schedule the next boundary, skip failed sites and charge
-        pending WAN transfers.  Returns ``None`` when the site skips the
-        window (failed), else the finish phase's inputs."""
+        """Settle the site's previous window, schedule its next boundary,
+        skip it if failed, charge pending WAN transfers, then plan."""
         controller = self._controller
         site = controller.site(boundary.site)
         cycle = self._require_cycle()
@@ -749,63 +730,9 @@ class FleetSimulator:
         self._schedule_boundary(site, boundary.window_index + 1)
         if not site.healthy:
             cycle.failed_sites.append(site.name)
-            return None
-        delays = self._charge_transfers(site, boundary.time, duration)
-        return site, cycle, delays
-
-    def _collect_cohort(self, first: WindowBoundary) -> List[WindowBoundary]:
-        """Pop every further ``WindowBoundary`` sharing ``first``'s instant."""
-        calendar = self._calendar
-        cohort = [first]
-        while True:
-            ahead = calendar.peek()
-            if not isinstance(ahead, WindowBoundary) or ahead.time != first.time:
-                break
-            event = calendar.pop()
-            if self._record_events:
-                self._telemetry.record_event(event)
-            cohort.append(event)
-        return cohort
-
-    def _on_boundary_cohort(self, cohort: List[WindowBoundary]) -> None:
-        """Plan one instant's whole boundary cohort in a single stacked solve.
-
-        Each boundary's prepare phase (settle, reschedule, transfer charges)
-        and its request build — including every profiling side effect — run
-        in pop order, exactly as the scalar path interleaves them; only the
-        pure solves are batched (plans commit nothing, so reordering them
-        ahead of the finish phases is unobservable).  Finishes then run in
-        pop order, so events, stats and results land in the scalar order.
-        """
-        if len(cohort) == 1:
-            # The policy's scheduler is already the batched one; a lone
-            # boundary goes through the ordinary path (a cohort of one).
-            self._on_window_boundary(cohort[0])
             return
-        prepared: List[
-            Tuple[WindowBoundary, EdgeSite, FleetWindowResult, Optional[Dict[str, float]]]
-        ] = []
-        # Requests grouped by scheduler instance (sites normally share one
-        # policy, so this is a single group); insertion order is pop order.
-        groups: Dict[object, Dict[str, object]] = {}
-        for boundary in cohort:
-            prep = self._prepare_boundary(boundary)
-            if prep is None:
-                continue
-            site, cycle, delays = prep
-            prepared.append((boundary, site, cycle, delays))
-            request = site.prepare_window_request(boundary.window_index)
-            if request is None:
-                continue
-            scheduler = site.policy.scheduler
-            groups.setdefault(scheduler, {})[site.name] = request
-        schedules: Dict[str, object] = {}
-        for scheduler, requests in groups.items():
-            schedules.update(scheduler.schedule_cohort(requests))
-        for boundary, site, cycle, delays in prepared:
-            self._plan_site_window(
-                site, boundary, cycle, delays, preplanned=schedules.get(site.name)
-            )
+        delays = self._charge_transfers(site, boundary.time, duration)
+        self._plan_site_window(site, boundary, cycle, delays)
 
     # ------------------------------------------------- site-window internals
     def _plan_site_window(
@@ -814,7 +741,6 @@ class FleetSimulator:
         boundary: WindowBoundary,
         cycle: FleetWindowResult,
         delays: Optional[Dict[str, float]],
-        preplanned=None,
     ) -> None:
         """Plan phase of a site window: schedule, then per-stream events.
 
@@ -826,9 +752,7 @@ class FleetSimulator:
         attribution is popped here, so WAN hops are charged to the window
         whose retraining they delay.
         """
-        plan = site.plan_window(
-            boundary.window_index, retraining_delays=delays, preplanned=preplanned
-        )
+        plan = site.plan_window(boundary.window_index, retraining_delays=delays)
         if plan is None:
             return
         profiling = self._share_profiles(site, boundary)

@@ -31,7 +31,6 @@ from ..core.policy import WindowPolicy
 from ..datasets.stream import VideoStream
 from ..exceptions import FleetError
 from ..profiles.dynamics import StreamDynamics
-from ..core.types import ScheduleRequest, WindowSchedule
 from ..simulation.simulator import Simulator, StreamWindowOutcome, WindowPlan
 
 
@@ -181,46 +180,30 @@ class EdgeSite:
         return self._server.detach_stream(stream_name)
 
     # ------------------------------------------------------------- execution
-    def prepare_window_request(self, window_index: int) -> Optional[ScheduleRequest]:
-        """Build (and profile) one window's scheduling request, unsolved.
-
-        The same idle/failure guards as :meth:`plan_window` apply — a site
-        that would skip the window returns ``None`` here too, so the fleet's
-        batched cohort planning and the scalar per-site path skip exactly
-        the same sites.  The solved cohort schedule comes back through the
-        ``preplanned`` parameter of :meth:`plan_window`.
-        """
-        if not self.healthy or self._server.num_streams == 0 or self.effective_gpus < 1:
-            return None
-        return self._simulator.prepare_request(window_index)
-
     def plan_window(
         self,
         window_index: int,
         *,
         retraining_delays: Optional[Mapping[str, float]] = None,
-        preplanned: Optional[WindowSchedule] = None,
     ) -> Optional[WindowPlan]:
         """Plan one window without settling it; ``None`` if idle or failed.
 
         ``retraining_delays`` carries the WAN transfer time of streams that
         migrated in — their retraining cannot start until checkpoint +
         profile have arrived (see
-        :meth:`repro.simulation.simulator.Simulator.run_window`).
-        ``preplanned`` replaces the policy solve with a cohort-batched
-        schedule (see :meth:`prepare_window_request`).  The fleet's event
-        loop turns the returned plan's per-stream completion offsets into
+        :meth:`repro.simulation.simulator.Simulator.run_window`).  The site's
+        policy profiles and solves the window in one call; a
+        :func:`~repro.fleet.factory.make_fleet` site runs
+        :class:`~repro.core.controller.EkyaPolicy`, whose only planner is the
+        batched thief.  The fleet's event loop turns the returned plan's
+        per-stream completion offsets into
         :class:`~repro.fleet.calendar.RetrainingComplete` events and settles
         each stream — possibly early, rescheduled, or cancelled — through
         :meth:`settle_stream`.
         """
         if not self.healthy or self._server.num_streams == 0 or self.effective_gpus < 1:
             return None
-        return self._simulator.plan_window(
-            window_index,
-            retraining_delays=retraining_delays,
-            preplanned=preplanned,
-        )
+        return self._simulator.plan_window(window_index, retraining_delays=retraining_delays)
 
     def settle_stream(
         self,

@@ -22,7 +22,7 @@ from ..cluster.edge_server import EdgeServer
 from ..cluster.placement import place_jobs
 from ..core.estimator import AccuracyEstimate, estimate_stream_average_accuracy
 from ..core.policy import WindowPolicy
-from ..core.types import ScheduleRequest, StreamDecision, WindowSchedule
+from ..core.types import StreamDecision, WindowSchedule
 from ..datasets.stream import VideoStream
 from ..exceptions import SimulationError
 from ..profiles.dynamics import StreamDynamics
@@ -267,25 +267,6 @@ class Simulator:
     def dynamics(self) -> StreamDynamics:
         return self._dynamics
 
-    def prepare_request(self, window_index: int) -> ScheduleRequest:
-        """Build (and profile) this window's scheduling request, unsolved.
-
-        The fleet's batched-planning path splits the policy's
-        ``plan_window`` in two: the request — including every profiling
-        side effect — is built per site, in boundary order, by this method;
-        the pure solve then runs once for the whole same-instant cohort
-        (:meth:`~repro.core.batched_planner.BatchedThiefScheduler.
-        schedule_cohort`), and the resulting schedule comes back through
-        ``plan_window(..., preplanned=...)``.  Requires a policy exposing
-        ``prepare_request`` (e.g. :class:`~repro.core.controller.EkyaPolicy`).
-        """
-        prepare = getattr(self._policy, "prepare_request", None)
-        if prepare is None:
-            raise SimulationError(
-                f"policy {self._policy.name!r} does not support prepared requests"
-            )
-        return prepare(self._server.streams, window_index, self._server.spec)
-
     # -------------------------------------------------------------- execution
     def run(self, num_windows: int, *, start_window: int = 0) -> SimulationResult:
         """Simulate ``num_windows`` consecutive retraining windows."""
@@ -307,7 +288,6 @@ class Simulator:
         retraining_delays: Optional[Mapping[str, float]] = None,
         window_start_seconds: Optional[float] = None,
         retraining_ready_at: Optional[Mapping[str, float]] = None,
-        preplanned: Optional[WindowSchedule] = None,
     ) -> WindowResult:
         """Plan and settle a single retraining window atomically.
 
@@ -316,7 +296,10 @@ class Simulator:
         to the pre-split implementation.  The fleet simulator instead plans
         at the boundary and settles stream by stream through
         :meth:`settle_stream`, so a retraining can complete, be accelerated
-        or be cancelled mid-window.
+        or be cancelled mid-window.  Either way the policy profiles and solves
+        the window in one ``plan_window`` call; for
+        :class:`~repro.core.controller.EkyaPolicy` the solve is always the
+        batched thief.
 
         ``retraining_delays`` maps stream names to seconds their retraining
         cannot start into the window (the fleet layer uses this for the WAN
@@ -340,7 +323,6 @@ class Simulator:
                 retraining_delays=retraining_delays,
                 window_start_seconds=window_start_seconds,
                 retraining_ready_at=retraining_ready_at,
-                preplanned=preplanned,
             )
         )
 
@@ -351,7 +333,6 @@ class Simulator:
         retraining_delays: Optional[Mapping[str, float]] = None,
         window_start_seconds: Optional[float] = None,
         retraining_ready_at: Optional[Mapping[str, float]] = None,
-        preplanned: Optional[WindowSchedule] = None,
     ) -> WindowPlan:
         """Plan one window without realising any outcome.
 
@@ -364,11 +345,6 @@ class Simulator:
         event), with a new completion time (reclaimed capacity accelerated
         the retraining) or as a cancellation (the stream migrated away).
         Delay parameters are shared with :meth:`run_window`.
-
-        ``preplanned`` short-circuits the policy call with a schedule
-        already solved for this exact window — the fleet's batched cohort
-        planning hands per-site schedules back through it.  Placement
-        verification, accuracy estimates and plan assembly run unchanged.
 
         With ``sanitize=True`` the plan-phase purity sanitizer digests the
         dynamics, the attached streams and the server spec before and after
@@ -385,7 +361,6 @@ class Simulator:
                 retraining_delays=retraining_delays,
                 window_start_seconds=window_start_seconds,
                 retraining_ready_at=retraining_ready_at,
-                preplanned=preplanned,
             )
         with self._sanitizer.guard(
             f"plan_window({window_index})",
@@ -398,7 +373,6 @@ class Simulator:
                 retraining_delays=retraining_delays,
                 window_start_seconds=window_start_seconds,
                 retraining_ready_at=retraining_ready_at,
-                preplanned=preplanned,
             )
 
     def _plan_window(
@@ -408,7 +382,6 @@ class Simulator:
         retraining_delays: Optional[Mapping[str, float]] = None,
         window_start_seconds: Optional[float] = None,
         retraining_ready_at: Optional[Mapping[str, float]] = None,
-        preplanned: Optional[WindowSchedule] = None,
     ) -> WindowPlan:
         spec = self._server.spec
         streams = self._server.streams
@@ -424,15 +397,7 @@ class Simulator:
                 if remaining > 0:
                     combined[name] = combined.get(name, 0.0) + remaining
             retraining_delays = combined
-        if preplanned is not None:
-            if preplanned.window_index != window_index:
-                raise SimulationError(
-                    f"preplanned schedule is for window {preplanned.window_index}, "
-                    f"not {window_index}"
-                )
-            schedule = preplanned
-        else:
-            schedule = self._policy.plan_window(streams, window_index, spec)
+        schedule = self._policy.plan_window(streams, window_index, spec)
         allocation_loss = 0.0
         if self._verify_placement:
             # The schedule must be physically placeable onto the GPUs after

@@ -1,14 +1,19 @@
 """Property suite: the batched planner equals the scalar oracle bit for bit.
 
-The :class:`~repro.core.batched_planner.BatchedThiefScheduler` stacks every
+The :class:`~repro.core.batched_planner.BatchedThiefScheduler` — the only
+planner :class:`~repro.core.controller.EkyaPolicy` runs — stacks every
 stream's lattice into one numpy evaluation, but its contract is *decision
 equivalence*: identical decisions, iteration and PickConfigs-evaluation
 counters and estimated accuracies to :class:`~repro.core.ThiefScheduler` on
 any request.  The scalar thief is the reference oracle — these properties
-fuzz randomized problems (fleet shapes, pruned grids, degraded sites, empty
-sites, hand-built accuracy landscapes) and compare the two
-paths field by field with ``==``, never with tolerances.
+fuzz randomized problems (pruned grids, hand-built accuracy landscapes) and
+whole fleets under chaos (degraded and empty sites, per-site windows, flash
+crowds, both control policies), and compare the two paths field by field
+with ``==``, never with tolerances.
 """
+
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,21 +33,15 @@ from repro.core import (
     StreamWindowInput,
     ThiefScheduler,
 )
+from repro.core import controller as controller_module
 from repro.core.batched_planner import BatchedThiefScheduler
 from repro.datasets import make_workload
+from repro.fleet import ChaosInjector, FlashCrowd, Scenario
+from repro.fleet.calendar import ScenarioTrigger
 from repro.fleet.factory import make_fleet
 from repro.fleet.simulator import FleetSimulator
 from repro.profiles import AnalyticDynamics, RetrainingEstimate, StreamWindowProfile
-
-#: Deterministic fleet-summary fields (seed-fixed, no wall-clock content):
-#: the batched path must reproduce each one bit for bit.
-FLEET_PARITY_FIELDS = (
-    "mean_accuracy",
-    "p10_worst_stream_accuracy",
-    "migration_count",
-    "mean_utilization",
-    "mean_allocation_loss",
-)
+from repro.utils.clock import ManualClock
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -285,58 +284,178 @@ class TestObjectiveTieBreak:
             assert decision.retraining_config == RetrainingConfig(epochs=15)
 
 
+#: Fleet horizon of the differential test, in 200 s reference windows.
+DIFFERENTIAL_WINDOWS = 4
+DIFFERENTIAL_HORIZON = DIFFERENTIAL_WINDOWS * 200.0
+
+
+@contextmanager
+def scalar_oracle_planner():
+    """Build fleets whose ``EkyaPolicy`` plans with the scalar thief.
+
+    Production has no planner option; the oracle side of the differential
+    test swaps the class ``EkyaPolicy`` constructs, for construction only.
+    """
+    with mock.patch.object(controller_module, "BatchedThiefScheduler", ThiefScheduler):
+        yield
+
+
+def run_differential_fleet(
+    *,
+    seed,
+    num_sites,
+    streams_per_site,
+    gpus_per_site,
+    window_duration,
+    control_policy,
+    control_interval,
+    profile_sharing,
+    chaos_seed,
+    chaos_intensity,
+    flash_crowd_streams,
+    degrade=False,
+    scalar=False,
+):
+    """One fleet run under chaos; returns the simulator and its result."""
+    clock = ManualClock()
+    injector = ChaosInjector(seed=chaos_seed, intensity=chaos_intensity)
+    with scalar_oracle_planner() if scalar else nullcontext():
+        controller = make_fleet(
+            num_sites,
+            streams_per_site,
+            gpus_per_site=gpus_per_site,
+            window_duration=window_duration,
+            seed=seed,
+            clock=clock,
+            control_policy=control_policy,
+            profile_sharing=profile_sharing,
+            wan_faults=injector.wan_faults(),
+        )
+    expected = ThiefScheduler if scalar else BatchedThiefScheduler
+    assert all(type(site.policy.scheduler) is expected for site in controller.sites)
+    if degrade and gpus_per_site > 1:
+        controller.sites[0].degrade_gpus(1)
+    events = list(
+        injector.compile(
+            [site.name for site in controller.sites],
+            window_duration=200.0,
+            num_windows=DIFFERENTIAL_WINDOWS,
+            gpus_per_site=gpus_per_site,
+        ).events
+    )
+    if flash_crowd_streams:
+        events.append(
+            FlashCrowd(at_seconds=DIFFERENTIAL_HORIZON / 3.0, num_streams=flash_crowd_streams)
+        )
+    simulator = FleetSimulator(
+        controller, Scenario(events), clock=clock, control_interval=control_interval
+    )
+    return simulator, simulator.run_until(DIFFERENTIAL_HORIZON)
+
+
+def site_window_counters(result):
+    """Each planned site-window's thief work counters, in cycle order."""
+    return [
+        (
+            window.window_index,
+            site,
+            site_result.schedule.iterations,
+            site_result.schedule.pick_configs_evaluations,
+        )
+        for window in result.windows
+        for site, site_result in window.site_results.items()
+    ]
+
+
+#: Every event kind a fleet run dispatches; scenario triggers count by payload.
+ALL_EVENT_KINDS = {
+    "ControlTick",
+    "FlashCrowd",
+    "GpuFailure",
+    "GpuRecovered",
+    "InferenceReconfigured",
+    "MigrationStarted",
+    "ProfilePush",
+    "RetrainingComplete",
+    "SiteFailure",
+    "SiteRecovery",
+    "TransferArrival",
+    "TransferFailed",
+    "WanDegradation",
+    "WanRestore",
+    "WindowBoundary",
+}
+
+
+def event_kinds(simulator):
+    """Event types a run dispatched; scenario triggers by their payload."""
+    kinds = set()
+    for event in simulator.event_trace:
+        if isinstance(event, ScenarioTrigger) and event.event is not None:
+            kinds.add(type(event.event).__name__)
+        else:
+            kinds.add(type(event).__name__)
+    return kinds
+
+
+def assert_fleet_runs_identical(**params):
+    """The batched fleet reproduces the scalar-oracle fleet bit for bit."""
+    oracle_sim, oracle = run_differential_fleet(scalar=True, **params)
+    batched_sim, batched = run_differential_fleet(**params)
+    assert batched.summary() == oracle.summary()
+    assert [w.mean_accuracy for w in batched.windows] == [
+        w.mean_accuracy for w in oracle.windows
+    ]
+    assert site_window_counters(batched) == site_window_counters(oracle)
+    assert batched_sim.event_trace == oracle_sim.event_trace
+    return event_kinds(batched_sim)
+
+
 class TestRandomizedFleets:
-    """Whole-fleet cohort planning vs the scalar event loop, bit for bit."""
+    """Whole fleets under chaos: the batched planner vs the scalar oracle."""
 
     @settings(
-        max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+        max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     @given(
-        num_sites=st.integers(min_value=1, max_value=3),
+        num_sites=st.integers(min_value=2, max_value=3),
         streams_per_site=st.integers(min_value=0, max_value=3),
         gpus_per_site=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=1_000),
+        window_duration=st.sampled_from([200.0, (150.0, 200.0, 250.0), (100.0, 200.0)]),
+        control_policy=st.sampled_from(["greedy", "predictive"]),
+        control_interval=st.sampled_from([None, 50.0, 120.0]),
+        profile_sharing=st.booleans(),
+        chaos_seed=st.integers(min_value=0, max_value=10_000),
+        chaos_intensity=st.sampled_from([0.0, 1.0, 2.0]),
+        flash_crowd_streams=st.integers(min_value=0, max_value=4),
         degrade=st.booleans(),
     )
-    def test_fleet_summaries_bit_identical(
-        self, num_sites, streams_per_site, gpus_per_site, seed, degrade
-    ):
-        """Randomized fleets — including empty sites (``streams_per_site=0``)
-        and degraded GPUs — summarize identically with cohort batching on and
-        off."""
-        summaries = {}
-        windows = {}
-        for batched in (False, True):
-            controller = make_fleet(
-                num_sites,
-                streams_per_site,
-                gpus_per_site=gpus_per_site,
-                seed=seed,
-                batched_planning=batched,
-            )
-            if degrade and gpus_per_site > 1:
-                controller.sites[0].degrade_gpus(1)
-            result = FleetSimulator(controller).run(2)
-            summaries[batched] = result.summary()
-            windows[batched] = [w.mean_accuracy for w in result.windows]
-        for field in FLEET_PARITY_FIELDS:
-            assert summaries[True][field] == summaries[False][field]
-        assert windows[True] == windows[False]
+    def test_fleet_summaries_bit_identical(self, **params):
+        """Randomized fleets — empty sites, degraded GPUs, per-site window
+        lengths, chaos faults, flash crowds, both control policies on their
+        own cadence, profile sharing — summarize, average per window and
+        count thief work identically under the batched planner and the
+        scalar oracle."""
+        assert_fleet_runs_identical(**params)
 
     def test_heterogeneous_window_cohorts_bit_identical(self):
-        """Staggered per-site calendars: cohorts form only where boundaries
-        truly coincide, and the result still matches the scalar path."""
-        summaries = {}
-        for batched in (False, True):
-            controller = make_fleet(
-                3,
-                2,
-                gpus_per_site=2,
-                window_duration=(100.0, 200.0, 100.0),
-                seed=11,
-                batched_planning=batched,
-            )
-            result = FleetSimulator(controller).run_for(600.0)
-            summaries[batched] = result.summary()
-        for field in FLEET_PARITY_FIELDS:
-            assert summaries[True][field] == summaries[False][field]
+        """Staggered per-site calendars with chaos and a flash crowd: sites
+        whose boundaries coincide plan one after another, and the result
+        still matches the scalar oracle.  The fixture reaches every event
+        kind the engine dispatches, so each one is covered by the
+        differential check."""
+        kinds = assert_fleet_runs_identical(
+            seed=11,
+            num_sites=3,
+            streams_per_site=3,
+            gpus_per_site=3,
+            window_duration=(150.0, 200.0, 250.0),
+            control_policy="predictive",
+            control_interval=50.0,
+            profile_sharing=True,
+            chaos_seed=0,
+            chaos_intensity=2.0,
+            flash_crowd_streams=4,
+        )
+        assert kinds == ALL_EVENT_KINDS

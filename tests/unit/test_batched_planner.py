@@ -1,35 +1,27 @@
-"""Unit tests for the batched planner's API surface and guard rails.
+"""Unit tests for the batched planner's API surface.
 
 The equivalence guarantees live in the property suite
 (``tests/property/test_property_batched_planner.py``); this module pins
-the plumbing around them — policy/controller wiring, the prepare/solve
-split, cohort scheduling over explicit request maps, the preplanned-window
-handoff and every validation error a misconfiguration must raise.
+the plumbing around them — the policy and fleet always plan with the
+batched thief, the prepare/solve split, and scheduler reuse across
+requests.
 """
 
-import pytest
-
-from repro.cluster import EdgeServer, EdgeServerSpec
+from repro.cluster import EdgeServerSpec
 from repro.configs import ConfigurationSpace
 from repro.core import EkyaPolicy, OracleProfileSource, ThiefScheduler
 from repro.core.batched_planner import BatchedThiefScheduler, inference_gpu_of
 from repro.core.candidate_table import build_candidate_tables
 from repro.datasets import make_workload
-from repro.exceptions import FleetError, SchedulingError, SimulationError
-from repro.fleet.calendar import EventCalendar, WindowBoundary
-from repro.fleet.controller import FleetController
 from repro.fleet.factory import make_fleet
 from repro.profiles import AnalyticDynamics
-from repro.simulation import Simulator
 
 
-def _policy(batched=True, seed=0, dynamics=None, **kwargs):
-    dynamics = dynamics if dynamics is not None else AnalyticDynamics(seed=seed)
+def _policy(seed=0, **kwargs):
     return EkyaPolicy(
-        OracleProfileSource(dynamics, seed=seed),
+        OracleProfileSource(AnalyticDynamics(seed=seed), seed=seed),
         ConfigurationSpace.small(),
         steal_quantum=0.25,
-        batched_planning=batched,
         **kwargs,
     )
 
@@ -40,96 +32,61 @@ def _problem(num_streams=3, seed=0):
     return streams, spec
 
 
-def _simulator(num_streams=3, seed=0):
-    """A single-site simulator whose policy profiles the same substrate."""
-    streams, spec = _problem(num_streams=num_streams, seed=seed)
-    dynamics = AnalyticDynamics(seed=seed)
-    policy = _policy(batched=True, seed=seed, dynamics=dynamics)
-    return Simulator(EdgeServer(spec, streams), dynamics, policy), policy
-
-
 class TestPolicyWiring:
-    def test_batched_flag_swaps_the_scheduler(self):
-        assert isinstance(_policy(batched=True).scheduler, BatchedThiefScheduler)
-        scalar = _policy(batched=False)
-        assert isinstance(scalar.scheduler, ThiefScheduler)
-        assert not isinstance(scalar.scheduler, BatchedThiefScheduler)
-        assert _policy(batched=True).batched_planning
-        assert not scalar.batched_planning
+    def test_policy_always_plans_with_the_batched_scheduler(self):
+        assert isinstance(_policy().scheduler, BatchedThiefScheduler)
+        assert not hasattr(_policy(), "batched_planning")
 
-    def test_batched_rejects_fixed_resources(self):
-        # fixed_resources never runs the thief: the flag would be dead.
-        with pytest.raises(SchedulingError, match="fixed_resources"):
-            _policy(batched=True, fixed_resources={"inference": 0.5, "retraining": 0.5})
+    def test_fixed_resources_skips_the_thief(self):
+        # The fixed-resource ablation picks configurations over a static
+        # split: one pick_configs pass, no steal sweep.
+        streams, spec = _problem()
+        policy = _policy(fixed_resources=True)
+        schedule = policy.plan_window(streams, 0, spec)
+        assert schedule.iterations == 1
+        assert set(schedule.decisions) == {stream.name for stream in streams}
 
     def test_prepare_request_then_solve_matches_plan_window(self):
         streams, spec = _problem()
-        policy = _policy(batched=True)
+        policy = _policy()
         request = policy.prepare_request(streams, 0, spec)
         solved = policy.scheduler.schedule(request)
-        direct = _policy(batched=True).plan_window(streams, 0, spec)
+        direct = _policy().plan_window(streams, 0, spec)
         assert solved.decisions == direct.decisions
         assert solved.estimated_average_accuracy == direct.estimated_average_accuracy
 
 
-class TestScheduleCohort:
-    def test_cohort_matches_per_request_schedules(self):
-        policy = _policy(batched=True)
-        requests = {}
-        for index, seed in enumerate((0, 7)):
-            streams, spec = _problem(num_streams=2 + index, seed=seed)
-            requests[f"site-{index}"] = policy.prepare_request(streams, 0, spec)
-        cohort = policy.scheduler.schedule_cohort(requests)
-        assert set(cohort) == set(requests)
-        for key, request in requests.items():
-            solo = BatchedThiefScheduler(steal_quantum=0.25).schedule(request)
-            assert cohort[key].decisions == solo.decisions
-            assert (
-                cohort[key].estimated_average_accuracy
-                == solo.estimated_average_accuracy
-            )
-
-    def test_empty_cohort_is_empty(self):
-        assert _policy(batched=True).scheduler.schedule_cohort({}) == {}
+class TestSchedulerReuse:
+    def test_reused_scheduler_matches_fresh_schedules(self):
+        # One scheduler plans every site of a fleet in turn; its scratch
+        # buffers carry over between requests of different sizes, so each
+        # schedule must match a fresh scheduler's and the scalar oracle's.
+        policy = _policy()
+        for seed, num_streams in ((0, 2), (7, 4), (3, 1)):
+            streams, spec = _problem(num_streams=num_streams, seed=seed)
+            request = policy.prepare_request(streams, 0, spec)
+            reused = policy.scheduler.schedule(request)
+            fresh = BatchedThiefScheduler(steal_quantum=0.25).schedule(request)
+            scalar = ThiefScheduler(steal_quantum=0.25).schedule(request)
+            for other in (fresh, scalar):
+                assert reused.decisions == other.decisions
+                assert reused.iterations == other.iterations
+                assert reused.pick_configs_evaluations == other.pick_configs_evaluations
+                assert reused.estimated_average_accuracy == other.estimated_average_accuracy
 
 
-class TestSimulatorHandoff:
-    def test_preplanned_window_index_mismatch_raises(self):
-        simulator, policy = _simulator()
-        request = simulator.prepare_request(0)
-        schedule = policy.scheduler.schedule(request)
-        with pytest.raises(SimulationError, match="window"):
-            simulator.run_window(1, preplanned=schedule)
-
-    def test_preplanned_run_matches_unassisted_run(self):
-        planned, policy = _simulator()
-        request = planned.prepare_request(0)
-        schedule = policy.scheduler.schedule(request)
-        assisted = planned.run_window(0, preplanned=schedule)
-        unassisted = _simulator()[0].run_window(0)
-        assert assisted.mean_accuracy == unassisted.mean_accuracy
-
-
-class TestFleetValidation:
-    def test_controller_rejects_scalar_policy_sites(self):
-        scalar_fleet = make_fleet(2, 1, gpus_per_site=2, seed=0)
-        with pytest.raises(FleetError, match="batched_planning"):
-            FleetController(
-                scalar_fleet.sites,
-                dynamics=scalar_fleet.dynamics,
-                admission=scalar_fleet.admission_policy,
-                batched_planning=True,
-            )
-
-    def test_make_fleet_exposes_the_flag(self):
-        assert make_fleet(1, 1, batched_planning=True).batched_planning
-        assert not make_fleet(1, 1).batched_planning
+class TestFleetWiring:
+    def test_make_fleet_sites_plan_with_the_batched_scheduler(self):
+        controller = make_fleet(2, 1, gpus_per_site=2, seed=0)
+        for site in controller.sites:
+            assert isinstance(site.policy.scheduler, BatchedThiefScheduler)
+        assert not hasattr(controller, "batched_planning")
 
 
 class TestHelpers:
     def test_inference_gpu_of_matches_lattice_units(self):
         streams, spec = _problem(num_streams=1)
-        policy = _policy(batched=True)
+        policy = _policy()
         request = policy.prepare_request(streams, 0, spec)
         quantum = request.delta
         tables = build_candidate_tables(
@@ -142,12 +99,3 @@ class TestHelpers:
         table = next(iter(tables.values()))
         for units in (0, 1, 3):
             assert inference_gpu_of(table, units) == units * quantum
-
-    def test_calendar_peek_does_not_pop(self):
-        calendar = EventCalendar()
-        assert calendar.peek() is None
-        event = WindowBoundary(time=200.0, site="site-0", window_index=0)
-        calendar.schedule(event)
-        assert calendar.peek() is event
-        assert calendar.pop() is event
-        assert calendar.peek() is None

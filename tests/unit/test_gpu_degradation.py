@@ -114,11 +114,11 @@ class TestGpuFailureScenarioEvent:
 
 
 class TestFleetGpuDegradation:
-    # The flap must play out the same under per-site and fleet-batched planning.
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_flap_degrades_then_restores_capacity(self, batched):
+    # The flap must play out the same whether or not sites share profiles.
+    @pytest.mark.parametrize("profile_sharing", [False, True])
+    def test_flap_degrades_then_restores_capacity(self, profile_sharing):
         clock = ManualClock()
-        controller, site = _site(2, 2, clock=clock, batched_planning=batched)
+        controller, site = _site(2, 2, clock=clock, profile_sharing=profile_sharing)
         scenario = Scenario(
             [GpuFailure(site="site-0", at_seconds=250.0, recovery_at=450.0, num_gpus=3)]
         )
