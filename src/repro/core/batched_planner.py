@@ -53,7 +53,7 @@ from ..utils.clock import Stopwatch
 from ..utils.math_utils import safe_mean
 from .candidate_table import CandidateTable, _Column, build_candidate_tables
 from .pick_configs import IMPROVEMENT_EPS as _IMPROVEMENT_EPS
-from .thief import ThiefScheduler
+from .thief import PATIENCE, ThiefScheduler
 from .types import ScheduleRequest, WindowSchedule
 
 
@@ -64,7 +64,6 @@ class _HeavyRow:
         "table",
         "units",
         "inference_index",
-        "factor_during",
         "accuracy_during",
         "base_meets",
         "max_level",
@@ -76,7 +75,6 @@ class _HeavyRow:
         table: CandidateTable,
         units: int,
         inference_index: int,
-        factor_during: float,
         accuracy_during: float,
         base_meets: bool,
         max_level: int,
@@ -85,7 +83,6 @@ class _HeavyRow:
         self.table = table
         self.units = units
         self.inference_index = inference_index
-        self.factor_during = factor_during
         self.accuracy_during = accuracy_during
         self.base_meets = base_meets
         self.max_level = max_level
@@ -193,7 +190,6 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
                 table,
                 units,
                 index,
-                factor_during,
                 accuracy_during,
                 base_meets,
                 max_level,
@@ -227,12 +223,11 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
 
     retraining_gpus = np.arange(1, max_levels + 1, dtype=float)[None, :] * quanta[:, None]
 
-    # Post-retraining inference factor.  With release the retraining share
-    # rejoins inference after the window, so the factor depends on the level
-    # only for rows whose *smallest* post-window share (level 1 — post_gpus
-    # grows monotonically) still under-provisions the chosen config; those
-    # run the scalar power law (shared with CandidateTable) for bit-identity.
-    # Without release it is the prologue's factor_during verbatim.  Nearly
+    # Post-retraining inference factor.  The retraining share rejoins
+    # inference after the window, so the factor depends on the level only
+    # for rows whose *smallest* post-window share (level 1 — post_gpus grows
+    # monotonically) still under-provisions the chosen config; those run the
+    # scalar power law (shared with CandidateTable) for bit-identity.  Nearly
     # every row is level-constant, which collapses the factor — and
     # everything derived from it alone — from (row, level, config) tensors
     # to (row, config) matrices.
@@ -241,16 +236,10 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
     for row, item in enumerate(heavy):
         table = item.table
         index = item.inference_index
-        if table._release:
-            factor_row[row] = table._base_list[index]
-            demand = table._demands_list[index]
-            if (
-                demand > 0
-                and inference_gpu_of(table, item.units) + retraining_gpus[row, 0] < demand
-            ):
-                varying.append(row)
-        else:
-            factor_row[row] = item.factor_during
+        factor_row[row] = table._base_list[index]
+        demand = table._demands_list[index]
+        if demand > 0 and item.units * table._quantum + retraining_gpus[row, 0] < demand:
+            varying.append(row)
 
     # estimate_batch_average_accuracy, elementwise with per-row scalars.
     # Every op below is the scalar estimate's IEEE twin on the same
@@ -278,7 +267,7 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
             table = item.table
             index = item.inference_index
             demand = table._demands_list[index]
-            post_gpus = inference_gpu_of(table, item.units) + retraining_gpus[row]
+            post_gpus = item.units * table._quantum + retraining_gpus[row]
             for level in np.nonzero(post_gpus < demand)[0].tolist():
                 factor_after[row, level] = table._effective_factor(
                     index, float(post_gpus[level])
@@ -429,11 +418,6 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
         item.table._columns[item.units] = _Column(item.inference_index, accuracy, choice)
 
 
-def inference_gpu_of(table: CandidateTable, units: int) -> float:
-    """The scalar path's ``inference_units * quantum`` product, verbatim."""
-    return units * table._quantum
-
-
 class BatchedThiefScheduler(ThiefScheduler):
     """The thief scheduler with cross-stream column batching.
 
@@ -459,7 +443,6 @@ class BatchedThiefScheduler(ThiefScheduler):
             a_min=request.a_min,
             quantum=allocation.quantum,
             total_units=allocation.total_units,
-            release_retraining_gpu_to_inference=self._release,
         )
         stream_names = list(request.streams)
         tables_list = [tables[name] for name in stream_names]
@@ -484,7 +467,6 @@ class BatchedThiefScheduler(ThiefScheduler):
         column_maps = [table._columns for table in tables_list]
         num_streams = len(tables_list)
         num_jobs = 2 * num_streams
-        patience = self._patience
         eps = _IMPROVEMENT_EPS
 
         # Per-stream accuracy rows actually *queried* so far: a miss here is
@@ -524,148 +506,142 @@ class BatchedThiefScheduler(ThiefScheduler):
         # outright: the scalar path's steal fails immediately for them, and
         # only the thief gains units mid-sweep, so the skip is
         # trajectory-identical.
-        for _ in range(self._max_rounds):
-            improved_in_round = False
-            for thief_job in range(num_jobs):
-                thief_stream = thief_job >> 1
-                thief_inf = thief_stream * 2
-                thief_ret = thief_inf + 1
-                thief_rows = queried[thief_stream]
-                thief_is_inf = thief_job == thief_inf
-                for victim_job, victim_units in enumerate(units):
-                    if victim_units == 0 or victim_job == thief_job:
-                        continue
-                    victim_stream = victim_job >> 1
-                    thief_inf_units = units[thief_inf]
-                    thief_ret_units = units[thief_ret]
-                    acc_thief = accuracy_of[thief_stream]
-                    misses = 0
-                    pending = 0
-                    if victim_stream == thief_stream:
-                        # Intra-stream: units move between one stream's own
-                        # inference and retraining jobs.
-                        while True:
-                            if thief_is_inf:
-                                if thief_ret_units == 0:
-                                    break
-                                thief_ret_units -= 1
-                                thief_inf_units += 1
-                            else:
-                                if thief_inf_units == 0:
-                                    break
-                                thief_inf_units -= 1
-                                thief_ret_units += 1
-                            pending += 1
-                            iterations += 1
-                            row = thief_rows[thief_inf_units]
-                            if row is None:
-                                evaluations += 1
-                                row = load(thief_stream, thief_inf_units)
-                            new_thief = row[thief_ret_units]
-                            new_sum = accuracy_sum - acc_thief + new_thief
-                            accuracy = new_sum / num_streams
-                            if accuracy > best_accuracy + eps:
-                                acc_thief = new_thief
-                                accuracy_sum = new_sum
-                                best_accuracy = accuracy
-                                pending = 0
-                                misses = 0
-                                improved_in_round = True
-                            else:
-                                misses += 1
-                                if misses >= patience:
-                                    break
-                        if pending:
-                            if thief_is_inf:
-                                thief_inf_units -= pending
-                                thief_ret_units += pending
-                            else:
-                                thief_inf_units += pending
-                                thief_ret_units -= pending
-                        units[thief_inf] = thief_inf_units
-                        units[thief_ret] = thief_ret_units
-                        accuracy_of[thief_stream] = acc_thief
-                        continue
-                    victim_inf = victim_stream * 2
-                    victim_ret = victim_inf + 1
-                    victim_rows = queried[victim_stream]
-                    victim_is_inf = victim_job == victim_inf
-                    victim_inf_units = units[victim_inf]
-                    victim_ret_units = units[victim_ret]
-                    acc_victim = accuracy_of[victim_stream]
-                    if thief_is_inf:
-                        thief_row = None
-                    else:
-                        # Retraining thief: its inference level is fixed for
-                        # the whole pair, so its column row is too.
-                        thief_row = thief_rows[thief_inf_units]
-                        if thief_row is None:
-                            evaluations += 1
-                            thief_row = load(thief_stream, thief_inf_units)
-                    if victim_is_inf:
-                        victim_row = None
-                    else:
-                        victim_row = victim_rows[victim_inf_units]
-                        if victim_row is None:
-                            evaluations += 1
-                            victim_row = load(victim_stream, victim_inf_units)
+        for thief_job in range(num_jobs):
+            thief_stream = thief_job >> 1
+            thief_inf = thief_stream * 2
+            thief_ret = thief_inf + 1
+            thief_rows = queried[thief_stream]
+            thief_is_inf = thief_job == thief_inf
+            for victim_job, victim_units in enumerate(units):
+                if victim_units == 0 or victim_job == thief_job:
+                    continue
+                victim_stream = victim_job >> 1
+                thief_inf_units = units[thief_inf]
+                thief_ret_units = units[thief_ret]
+                acc_thief = accuracy_of[thief_stream]
+                misses = 0
+                pending = 0
+                if victim_stream == thief_stream:
+                    # Intra-stream: units move between one stream's own
+                    # inference and retraining jobs.
                     while True:
-                        if victim_is_inf:
-                            if victim_inf_units == 0:
-                                break
-                            victim_inf_units -= 1
-                            victim_row = victim_rows[victim_inf_units]
-                            if victim_row is None:
-                                evaluations += 1
-                                victim_row = load(victim_stream, victim_inf_units)
-                        else:
-                            if victim_ret_units == 0:
-                                break
-                            victim_ret_units -= 1
                         if thief_is_inf:
+                            if thief_ret_units == 0:
+                                break
+                            thief_ret_units -= 1
                             thief_inf_units += 1
-                            thief_row = thief_rows[thief_inf_units]
-                            if thief_row is None:
-                                evaluations += 1
-                                thief_row = load(thief_stream, thief_inf_units)
                         else:
+                            if thief_inf_units == 0:
+                                break
+                            thief_inf_units -= 1
                             thief_ret_units += 1
                         pending += 1
                         iterations += 1
-                        new_thief = thief_row[thief_ret_units]
+                        row = thief_rows[thief_inf_units]
+                        if row is None:
+                            evaluations += 1
+                            row = load(thief_stream, thief_inf_units)
+                        new_thief = row[thief_ret_units]
                         new_sum = accuracy_sum - acc_thief + new_thief
-                        new_victim = victim_row[victim_ret_units]
-                        new_sum += new_victim - acc_victim
                         accuracy = new_sum / num_streams
                         if accuracy > best_accuracy + eps:
                             acc_thief = new_thief
-                            acc_victim = new_victim
                             accuracy_sum = new_sum
                             best_accuracy = accuracy
                             pending = 0
                             misses = 0
-                            improved_in_round = True
                         else:
                             misses += 1
-                            if misses >= patience:
+                            if misses >= PATIENCE:
                                 break
                     if pending:
-                        if victim_is_inf:
-                            victim_inf_units += pending
-                        else:
-                            victim_ret_units += pending
                         if thief_is_inf:
                             thief_inf_units -= pending
+                            thief_ret_units += pending
                         else:
+                            thief_inf_units += pending
                             thief_ret_units -= pending
                     units[thief_inf] = thief_inf_units
                     units[thief_ret] = thief_ret_units
-                    units[victim_inf] = victim_inf_units
-                    units[victim_ret] = victim_ret_units
                     accuracy_of[thief_stream] = acc_thief
-                    accuracy_of[victim_stream] = acc_victim
-            if not improved_in_round:
-                break
+                    continue
+                victim_inf = victim_stream * 2
+                victim_ret = victim_inf + 1
+                victim_rows = queried[victim_stream]
+                victim_is_inf = victim_job == victim_inf
+                victim_inf_units = units[victim_inf]
+                victim_ret_units = units[victim_ret]
+                acc_victim = accuracy_of[victim_stream]
+                if thief_is_inf:
+                    thief_row = None
+                else:
+                    # Retraining thief: its inference level is fixed for
+                    # the whole pair, so its column row is too.
+                    thief_row = thief_rows[thief_inf_units]
+                    if thief_row is None:
+                        evaluations += 1
+                        thief_row = load(thief_stream, thief_inf_units)
+                if victim_is_inf:
+                    victim_row = None
+                else:
+                    victim_row = victim_rows[victim_inf_units]
+                    if victim_row is None:
+                        evaluations += 1
+                        victim_row = load(victim_stream, victim_inf_units)
+                while True:
+                    if victim_is_inf:
+                        if victim_inf_units == 0:
+                            break
+                        victim_inf_units -= 1
+                        victim_row = victim_rows[victim_inf_units]
+                        if victim_row is None:
+                            evaluations += 1
+                            victim_row = load(victim_stream, victim_inf_units)
+                    else:
+                        if victim_ret_units == 0:
+                            break
+                        victim_ret_units -= 1
+                    if thief_is_inf:
+                        thief_inf_units += 1
+                        thief_row = thief_rows[thief_inf_units]
+                        if thief_row is None:
+                            evaluations += 1
+                            thief_row = load(thief_stream, thief_inf_units)
+                    else:
+                        thief_ret_units += 1
+                    pending += 1
+                    iterations += 1
+                    new_thief = thief_row[thief_ret_units]
+                    new_sum = accuracy_sum - acc_thief + new_thief
+                    new_victim = victim_row[victim_ret_units]
+                    new_sum += new_victim - acc_victim
+                    accuracy = new_sum / num_streams
+                    if accuracy > best_accuracy + eps:
+                        acc_thief = new_thief
+                        acc_victim = new_victim
+                        accuracy_sum = new_sum
+                        best_accuracy = accuracy
+                        pending = 0
+                        misses = 0
+                    else:
+                        misses += 1
+                        if misses >= PATIENCE:
+                            break
+                if pending:
+                    if victim_is_inf:
+                        victim_inf_units += pending
+                    else:
+                        victim_ret_units += pending
+                    if thief_is_inf:
+                        thief_inf_units -= pending
+                    else:
+                        thief_ret_units -= pending
+                units[thief_inf] = thief_inf_units
+                units[thief_ret] = thief_ret_units
+                units[victim_inf] = victim_inf_units
+                units[victim_ret] = victim_ret_units
+                accuracy_of[thief_stream] = acc_thief
+                accuracy_of[victim_stream] = acc_victim
 
         decisions = {}
         for stream, name in enumerate(stream_names):

@@ -94,7 +94,6 @@ class CandidateTable:
         a_min: float,
         quantum: float,
         total_units: int,
-        release_retraining_gpu_to_inference: bool = True,
     ) -> None:
         if window_seconds <= 0:
             raise SchedulingError("window_seconds must be positive")
@@ -107,7 +106,6 @@ class CandidateTable:
         self._a_min = float(a_min)
         self._quantum = float(quantum)
         self._total_units = int(total_units)
-        self._release = release_retraining_gpu_to_inference
 
         profile = stream_input.profile
         self._start = float(profile.start_accuracy)
@@ -189,24 +187,20 @@ class CandidateTable:
             return _Column(inference_index, accuracy.tolist(), choice.tolist())
 
         retraining_gpus = np.arange(1, max_level + 1, dtype=float) * self._quantum
-        if self._release:
-            # Post-retraining the freed GPUs flow back to inference.  Above
-            # the config's demand the factor saturates at its base value, so
-            # only the handful of under-provisioned levels need the scalar
-            # power-law computation (kept in Python for bit-identity with
-            # the reference oracle).
-            demand = self._demands_list[inference_index]
-            base = self._base_list[inference_index]
-            factor_after = np.full(max_level, base, dtype=float)
-            post_gpus = inference_gpu + retraining_gpus
-            if demand > 0:
-                under = np.nonzero(post_gpus < demand)[0]
-                for level in under.tolist():
-                    factor_after[level] = self._effective_factor(
-                        inference_index, float(post_gpus[level])
-                    )
-        else:
-            factor_after = np.full(max_level, factor_during, dtype=float)
+        # Post-retraining the freed GPUs flow back to inference.  Above the
+        # config's demand the factor saturates at its base value, so only the
+        # handful of under-provisioned levels need the scalar power-law
+        # computation (kept in Python for bit-identity with the reference
+        # oracle).
+        demand = self._demands_list[inference_index]
+        factor_after = np.full(max_level, self._base_list[inference_index], dtype=float)
+        post_gpus = inference_gpu + retraining_gpus
+        if demand > 0:
+            under = np.nonzero(post_gpus < demand)[0]
+            for level in under.tolist():
+                factor_after[level] = self._effective_factor(
+                    inference_index, float(post_gpus[level])
+                )
 
         batch = estimate_batch_average_accuracy(
             accuracy_during=accuracy_during,
@@ -296,7 +290,6 @@ def build_candidate_tables(
     a_min: float,
     quantum: float,
     total_units: int,
-    release_retraining_gpu_to_inference: bool = True,
 ) -> Dict[str, CandidateTable]:
     """One :class:`CandidateTable` per stream for a schedule request."""
     return {
@@ -306,7 +299,6 @@ def build_candidate_tables(
             a_min=a_min,
             quantum=quantum,
             total_units=total_units,
-            release_retraining_gpu_to_inference=release_retraining_gpu_to_inference,
         )
         for name, stream_input in streams.items()
     }

@@ -7,7 +7,7 @@ pluggable :class:`AdmissionPolicy` s and migrates them between sites (paying
 real WAN transfer cost for model checkpoint + profile), and a
 :class:`FleetSimulator` that advances everything as a discrete-event
 simulation on an :class:`EventCalendar`: per-site window boundaries,
-time-indexed scenario triggers, WAN transfer arrivals, fleet profile pushes
+scenario triggers placed in seconds, WAN transfer arrivals, fleet profile pushes
 and control ticks are heap-ordered :class:`SimEvent` s.  Each site's
 thief-scheduler hot path runs completely unchanged.
 
@@ -55,29 +55,33 @@ Migrating from the shared-window-index API (PR 2)
 -------------------------------------------------
 
 The old fleet advanced on one shared integer window index; the calendar
-makes the timeline the spine instead.  Existing code keeps working:
+makes the timeline the spine instead, and every run starts at t = 0:
 
 * ``FleetSimulator(controller, scenario).run(num_windows)`` is unchanged for
   fleets whose sites share one ``window_duration``, and reproduces the old
   engine's :class:`FleetResult` bit for bit under a
-  :class:`~repro.utils.clock.ManualClock`.
-* Window-indexed scenario events — ``FlashCrowd(window=2, ...)``,
-  ``SiteFailure(window=3, recovery_window=5, ...)``,
-  ``WanDegradation(window=1, until_window=4, ...)`` — still work on
-  homogeneous fleets; they are resolved to absolute seconds up front.
+  :class:`~repro.utils.clock.ManualClock`.  There is no ``start_window``:
+  a first ``run_window(k)`` with ``k != 0`` is rejected.
+* Scenario events are placed in seconds only.  An event that fired at
+  window ``k`` of a fleet with window duration ``D`` fires at the same
+  instant with ``at_seconds=k * D``; expiries convert the same way
+  (``recovery_window=r`` becomes ``recovery_at=r * D``, ``until_window=u``
+  becomes ``until_at=u * D``).  For example, on 200 s windows,
+  ``SiteFailure(window=3, recovery_window=5, ...)`` is now
+  ``SiteFailure(at_seconds=600.0, recovery_at=1000.0, ...)``.
 
 New capabilities, opted into explicitly:
 
-* **Time-indexed scenarios**: ``FlashCrowd(at_seconds=450.0, ...)`` fires
-  mid-window; expiries use ``recovery_at`` / ``until_at``.  Scenarios are
-  validated at :class:`FleetSimulator` construction (unknown sites, expiry
-  before trigger), not at fire time.
+* **Mid-window scenarios**: ``FlashCrowd(at_seconds=450.0, ...)`` fires
+  mid-window.  Scenarios are validated at construction (missing or negative
+  trigger, expiry not after trigger) and at :class:`FleetSimulator`
+  construction (unknown sites), not at fire time.
 * **Per-site windows**: give each :class:`SiteSpec` its own
   ``window_duration`` (or pass a sequence to :func:`make_fleet`), then
   drive the fleet with ``run_until(t_end)`` / ``run_for(seconds)`` — each
   returned :class:`FleetWindowResult` covers one cycle of sites whose
-  windows start at the same ``start_seconds``.  Window-indexed scenario
-  events are rejected on such fleets; use ``at_seconds``.
+  windows start at the same ``start_seconds``.  One scenario serves every
+  site, whatever its window length.
 * **Async control plane**: ``FleetSimulator(..., control_interval=50.0)``
   runs admission/rebalancing on its own cadence, so migrations start
   mid-window and the destination's next window pays only the WAN transfer

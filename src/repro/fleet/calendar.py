@@ -21,8 +21,7 @@ Event hierarchy (all timestamped in absolute simulated seconds):
   never stale.
 * :class:`ScenarioTrigger` — an injected
   :class:`~repro.fleet.scenarios.Scenario` event fires (flash crowd, site
-  failure, WAN degradation).  Scenarios are time-indexed; the old
-  window-indexed constructors are resolved to absolute seconds up front.
+  failure, WAN degradation) at its ``at_seconds``.
 * :class:`TransferArrival` — a migrating stream's checkpoint + profile
   finishes its WAN transfer.  Replaces PR 2's carryover-delay dict: the
   arrival is an absolute timestamp, so it can land mid-window and a window

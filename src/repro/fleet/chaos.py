@@ -103,7 +103,7 @@ class ChaosInjector:
     ) -> Scenario:
         """Draw the fault schedule for one fleet shape.
 
-        Events are time-indexed (``at_seconds``), so the schedule works on
+        Events are placed in seconds, so the schedule works on
         heterogeneous-window fleets too; triggers land strictly inside the
         ``num_windows * window_duration`` horizon.
         """

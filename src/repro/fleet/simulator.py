@@ -3,10 +3,9 @@
 The :class:`FleetSimulator` is an event loop over an
 :class:`~repro.fleet.calendar.EventCalendar`: window boundaries (per-site,
 so sites may have different ``window_duration`` s), scenario triggers
-(time-indexed, with the window-indexed constructors resolved up front),
-WAN transfer arrivals and control ticks are all first-class timestamped
-events, popped in deterministic ``(time, priority, seq)`` order and
-dispatched to one handler each:
+(placed in seconds), WAN transfer arrivals and control ticks are all
+first-class timestamped events, popped in deterministic
+``(time, priority, seq)`` order and dispatched to one handler each:
 
 * ``SiteRecovery`` / ``WanRestore`` / ``GpuRecovered`` — a scenario effect
   expires.  Site and WAN effects are ownership-guarded (latest event wins:
@@ -54,10 +53,10 @@ dispatched to one handler each:
   settle at their ``RetrainingComplete`` events, at cancellations, or at
   the window end.
 
-``run(num_windows)`` is a thin compatibility wrapper over the event loop
-for homogeneous-window fleets and reproduces the shared-window-index
-engine's :class:`~repro.fleet.metrics.FleetResult` bit-identically under a
-:class:`~repro.utils.clock.ManualClock` (see
+Every run starts at simulated time 0.  ``run(num_windows)`` is a thin
+wrapper over the event loop for homogeneous-window fleets and reproduces the
+shared-window-index engine's :class:`~repro.fleet.metrics.FleetResult`
+bit-identically under a :class:`~repro.utils.clock.ManualClock` (see
 ``tests/integration/test_fleet_scenarios.py::TestEngineParity``).
 Heterogeneous fleets use :meth:`run_until` / :meth:`run_for`; each
 :class:`~repro.fleet.metrics.FleetWindowResult` then covers one *cycle* —
@@ -171,9 +170,8 @@ class FleetSimulator:
         The fleet to simulate.  Sites may have different
         ``window_duration`` s; each gets its own ``WindowBoundary`` events.
     scenario:
-        Injected events, validated up front: unknown site names raise
-        immediately, and window-indexed events are rejected on
-        heterogeneous-window fleets (use ``at_seconds``).
+        Injected events, placed in simulated seconds and validated up
+        front: unknown site names raise immediately.
     clock:
         Wall-clock source for ``FleetResult.wall_clock_seconds``.
     control_interval:
@@ -230,10 +228,7 @@ class FleetSimulator:
         self._open_windows: Dict[str, _OpenSiteWindow] = {}
         controller.set_departure_hook(self._on_stream_departure)
         controller.set_cancellation_hook(self._on_proactive_cancellation)
-        self._scenario.validate(
-            [site.name for site in controller.sites],
-            require_time_indexed=not controller.homogeneous_windows,
-        )
+        self._scenario.validate([site.name for site in controller.sites])
         #: Latest failure / degradation event owning each site's state.
         self._failure_owner: Dict[str, SiteFailure] = {}
         self._wan_owner: Dict[str, WanDegradation] = {}
@@ -265,8 +260,6 @@ class FleetSimulator:
         self._migrated_into: Dict[str, List[MigrationEvent]] = {}
         # Calendar state; built on the first run/run_window/run_until call.
         self._calendar: Optional[EventCalendar] = None
-        self._start_window = 0
-        self._start_time = 0.0
         self._boundary_times: set = set()
         self._tick_times: set = set()
         self._site_next_boundary: Dict[str, float] = {}
@@ -309,19 +302,17 @@ class FleetSimulator:
         return self._telemetry.events()
 
     # -------------------------------------------------------------- execution
-    def run(self, num_windows: int, *, start_window: int = 0) -> FleetResult:
-        """Simulate ``num_windows`` consecutive shared retraining windows.
+    def run(self, num_windows: int) -> FleetResult:
+        """Simulate the first ``num_windows`` shared retraining windows.
 
-        Compatibility wrapper for homogeneous-window fleets; heterogeneous
-        fleets have no shared window count — use :meth:`run_until`.
+        For homogeneous-window fleets; heterogeneous fleets have no shared
+        window count — use :meth:`run_until`.
         """
         if num_windows < 1:
             raise FleetError("num_windows must be >= 1")
-        if start_window < 0:
-            raise FleetError("start_window must be non-negative")
         watch = Stopwatch(self._clock)
         result = self._new_result()
-        for window_index in range(start_window, start_window + num_windows):
+        for window_index in range(num_windows):
             result.windows.append(self.run_window(window_index))
         result.wall_clock_seconds = watch.elapsed()
         self._finalize_result(result)
@@ -330,19 +321,18 @@ class FleetSimulator:
     def run_window(self, window_index: int) -> FleetWindowResult:
         """Advance the calendar through one shared window and return it.
 
-        Windows must be executed in ascending order (the calendar owns
-        simulated time and cannot rewind); the first call fixes the start
-        window, matching ``run(..., start_window=...)``.
+        Windows must be executed in ascending order from window 0 (the
+        calendar owns simulated time, starts at t = 0 and cannot rewind).
         """
         duration = self._controller.window_duration  # homogeneous fleets only
         if self._calendar is None:
-            self._start(start_window=window_index)
+            self._start()
         if window_index != self._next_cycle_ordinal:
             raise FleetError(
                 f"windows must be executed in ascending order: expected window "
                 f"{self._next_cycle_ordinal}, got {window_index}"
             )
-        t_end = self._start_time + (window_index + 1 - self._start_window) * duration
+        t_end = (window_index + 1) * duration
         self._advance_until(t_end)
         self._horizon = max(self._horizon, t_end)
         cycle = self._current
@@ -370,7 +360,7 @@ class FleetSimulator:
         timeline is continued.
         """
         if self._calendar is None:
-            self._start(start_window=0)
+            self._start()
         elif t_end < self._calendar.now:
             raise FleetError(
                 f"cannot run until t={t_end:g}s: simulated time is already "
@@ -430,48 +420,33 @@ class FleetSimulator:
             num_sites=len(self._controller.sites),
         )
 
-    def _start(self, start_window: int) -> None:
-        """Build the calendar: first boundaries, control ticks, triggers."""
-        controller = self._controller
-        homogeneous = controller.homogeneous_windows
-        if not homogeneous and start_window != 0:
-            raise FleetError(
-                "heterogeneous-window fleets must start at window 0 "
-                "(there is no shared window index to offset by)"
-            )
-        shared = controller.window_duration if homogeneous else None
-        self._start_window = start_window
-        self._start_time = start_window * shared if homogeneous else 0.0
-        self._next_cycle_ordinal = start_window
-        self._last_emitted = start_window - 1
-        self._horizon = self._start_time
-        self._calendar = EventCalendar(start_time=self._start_time)
+    def _start(self) -> None:
+        """Build the calendar at t = 0: first boundaries, ticks, triggers."""
+        self._calendar = EventCalendar()
         if self._wan_faults is not None:
             # One seeded generator, drawn strictly in event order, fixes the
             # whole fault realisation of a run (replayable chaos).
             self._fault_rng = ensure_rng(self._wan_faults.seed)
-        for site in controller.sites:
-            self._schedule_boundary(site, start_window)
+        for site in self._controller.sites:
+            self._schedule_boundary(site, 0)
         if self._control_interval is not None:
-            self._calendar.schedule(ControlTick(time=self._start_time))
+            self._calendar.schedule(ControlTick(time=0.0))
         for event in self._scenario.events:
-            fire_at = event.trigger_seconds(shared)
-            if fire_at < self._start_time:
-                continue  # before the simulated range, like events_at() skipped
-            self._calendar.schedule(ScenarioTrigger(time=fire_at, event=event))
+            self._calendar.schedule(
+                ScenarioTrigger(time=float(event.at_seconds), event=event)
+            )
 
     def _site_window_time(self, site: EdgeSite, window_index: int) -> float:
         """Absolute start time of ``site``'s window ``window_index``.
 
-        Computed by multiplication from the simulation origin — never by
-        accumulating additions — so it is the *same float* as the ``t_end``
-        `run_window` derives for the shared index, and the same float for
-        every site sharing a duration.  Accumulated sums drift an ulp below
-        the multiplied value for non-dyadic durations (e.g. 0.1), which
-        used to pop a boundary one window early.
+        Computed by multiplication from t = 0 — never by accumulating
+        additions — so it is the *same float* as the ``t_end`` `run_window`
+        derives for the shared index, and the same float for every site
+        sharing a duration.  Accumulated sums drift an ulp below the
+        multiplied value for non-dyadic durations (e.g. 0.1), which used to
+        pop a boundary one window early.
         """
-        duration = site.spec.window_duration
-        return self._start_time + (window_index - self._start_window) * duration
+        return window_index * site.spec.window_duration
 
     def _schedule_boundary(self, site: EdgeSite, window_index: int) -> None:
         time = self._site_window_time(site, window_index)
@@ -578,35 +553,37 @@ class FleetSimulator:
         controller = self._controller
         event = trigger.event
         cycle = self._require_cycle()
-        shared = controller.window_duration if controller.homogeneous_windows else None
         if isinstance(event, SiteFailure):
             migrations = controller.fail_site(event.site, cycle.window_index)
             self._register_migrations(migrations, trigger.time)
             self._failure_owner[event.site] = event
-            recovery = event.recovery_seconds(shared)
-            if recovery is not None:
+            if event.recovery_at is not None:
                 self._calendar.schedule(
-                    SiteRecovery(time=recovery, site=event.site, owner=event)
+                    SiteRecovery(
+                        time=float(event.recovery_at), site=event.site, owner=event
+                    )
                 )
         elif isinstance(event, WanDegradation):
             controller.site(event.site).degrade_wan(
                 event.uplink_factor, event.downlink_factor
             )
             self._wan_owner[event.site] = event
-            until = event.until_seconds(shared)
-            if until is not None:
+            if event.until_at is not None:
                 self._calendar.schedule(
-                    WanRestore(time=until, site=event.site, owner=event)
+                    WanRestore(time=float(event.until_at), site=event.site, owner=event)
                 )
         elif isinstance(event, GpuFailure):
             site = controller.site(event.site)
             before = site.effective_gpus
             taken = site.degrade_gpus(event.num_gpus)
             if taken:
-                recovery = event.recovery_seconds(shared)
-                if recovery is not None:
+                if event.recovery_at is not None:
                     self._calendar.schedule(
-                        GpuRecovered(time=recovery, site=event.site, num_gpus=taken)
+                        GpuRecovered(
+                            time=float(event.recovery_at),
+                            site=event.site,
+                            num_gpus=taken,
+                        )
                     )
                 self._rescale_site_retrainings(event.site, before, site.effective_gpus)
         elif isinstance(event, FlashCrowd):

@@ -286,8 +286,6 @@ class Simulator:
         window_index: int,
         *,
         retraining_delays: Optional[Mapping[str, float]] = None,
-        window_start_seconds: Optional[float] = None,
-        retraining_ready_at: Optional[Mapping[str, float]] = None,
     ) -> WindowResult:
         """Plan and settle a single retraining window atomically.
 
@@ -307,23 +305,9 @@ class Simulator:
         extends the retraining's wall-clock completion, so a run that no
         longer fits the window realises no benefit *and* is not committed to
         the dynamics — realised accuracy and model state stay consistent.
-
-        ``retraining_ready_at`` is the event-calendar form of the same
-        constraint: absolute simulated times (same axis as
-        ``window_start_seconds``, which it requires) before which a stream's
-        retraining cannot start — e.g. a WAN :class:`~repro.fleet.calendar.
-        TransferArrival` timestamp.  A ready time inside the window delays
-        retraining by only the remaining ``ready - window_start`` seconds;
-        one at or before the window start costs nothing.  Both forms may be
-        given; a stream's delays add up.
         """
         return self.settle_window(
-            self.plan_window(
-                window_index,
-                retraining_delays=retraining_delays,
-                window_start_seconds=window_start_seconds,
-                retraining_ready_at=retraining_ready_at,
-            )
+            self.plan_window(window_index, retraining_delays=retraining_delays)
         )
 
     def plan_window(
@@ -331,8 +315,6 @@ class Simulator:
         window_index: int,
         *,
         retraining_delays: Optional[Mapping[str, float]] = None,
-        window_start_seconds: Optional[float] = None,
-        retraining_ready_at: Optional[Mapping[str, float]] = None,
     ) -> WindowPlan:
         """Plan one window without realising any outcome.
 
@@ -344,7 +326,7 @@ class Simulator:
         in :meth:`settle_stream`, which may fire early (at the completion
         event), with a new completion time (reclaimed capacity accelerated
         the retraining) or as a cancellation (the stream migrated away).
-        Delay parameters are shared with :meth:`run_window`.
+        ``retraining_delays`` is shared with :meth:`run_window`.
 
         With ``sanitize=True`` the plan-phase purity sanitizer digests the
         dynamics, the attached streams and the server spec before and after
@@ -356,47 +338,20 @@ class Simulator:
         state.
         """
         if self._sanitizer is None:
-            return self._plan_window(
-                window_index,
-                retraining_delays=retraining_delays,
-                window_start_seconds=window_start_seconds,
-                retraining_ready_at=retraining_ready_at,
-            )
+            return self._plan_window(window_index, retraining_delays)
         with self._sanitizer.guard(
             f"plan_window({window_index})",
             dynamics=self._dynamics,
             streams={stream.name: stream for stream in self._server.streams},
             server_spec=self._server.spec,
         ):
-            return self._plan_window(
-                window_index,
-                retraining_delays=retraining_delays,
-                window_start_seconds=window_start_seconds,
-                retraining_ready_at=retraining_ready_at,
-            )
+            return self._plan_window(window_index, retraining_delays)
 
     def _plan_window(
-        self,
-        window_index: int,
-        *,
-        retraining_delays: Optional[Mapping[str, float]] = None,
-        window_start_seconds: Optional[float] = None,
-        retraining_ready_at: Optional[Mapping[str, float]] = None,
+        self, window_index: int, retraining_delays: Optional[Mapping[str, float]]
     ) -> WindowPlan:
         spec = self._server.spec
         streams = self._server.streams
-        if retraining_ready_at:
-            if window_start_seconds is None:
-                raise SimulationError(
-                    "retraining_ready_at needs window_start_seconds to anchor "
-                    "absolute ready times to this window"
-                )
-            combined = dict(retraining_delays or {})
-            for name, ready in retraining_ready_at.items():
-                remaining = ready - window_start_seconds
-                if remaining > 0:
-                    combined[name] = combined.get(name, 0.0) + remaining
-            retraining_delays = combined
         schedule = self._policy.plan_window(streams, window_index, spec)
         allocation_loss = 0.0
         if self._verify_placement:

@@ -69,7 +69,7 @@ class TestFleetEndToEnd:
         assert 0.0 < result.worst_stream_accuracy(10.0) <= result.mean_accuracy + 1e-9
 
     def test_fleet_run_is_deterministic(self):
-        events = [SiteFailure(window=2, site="site-0", recovery_window=4)]
+        events = [SiteFailure(at_seconds=400.0, site="site-0", recovery_at=800.0)]
         first = _run(events)
         second = _run(events)
         assert first.mean_accuracy == second.mean_accuracy
@@ -85,7 +85,7 @@ class TestSiteFailure:
 
     def test_evacuated_streams_recover_within_two_windows(self):
         """The acceptance scenario: dip at migration, recovery by +2 windows."""
-        failed = _run([SiteFailure(window=self.FAIL_WINDOW, site="site-0")])
+        failed = _run([SiteFailure(at_seconds=self.FAIL_WINDOW * 200.0, site="site-0")])
         counterfactual = _run([])
 
         evacuated = sorted(
@@ -118,7 +118,7 @@ class TestSiteFailure:
         assert recovery < deficit[self.FAIL_WINDOW] / 2.0
 
     def test_failed_site_serves_nothing_until_recovery(self):
-        result = _run([SiteFailure(window=2, site="site-1", recovery_window=4)])
+        result = _run([SiteFailure(at_seconds=400.0, site="site-1", recovery_at=800.0)])
         for window in result.windows:
             if 2 <= window.window_index < 4:
                 assert "site-1" in window.failed_sites
@@ -130,7 +130,7 @@ class TestSiteFailure:
             assert window.num_streams == 6
 
     def test_evacuation_pays_migration_cost(self):
-        result = _run([SiteFailure(window=2, site="site-0")])
+        result = _run([SiteFailure(at_seconds=400.0, site="site-0")])
         migration_window = result.windows[2]
         assert migration_window.migrations
         for event in migration_window.migrations:
@@ -149,7 +149,7 @@ class TestSiteFailure:
 
 class TestFlashCrowd:
     def test_burst_streams_are_admitted_and_served(self):
-        result = _run([FlashCrowd(window=2, num_streams=5, dataset="urban_traffic")])
+        result = _run([FlashCrowd(at_seconds=400.0, num_streams=5, dataset="urban_traffic")])
         assert result.windows[1].num_streams == 6
         assert result.windows[2].admitted_streams
         for window in result.windows[2:]:
@@ -158,7 +158,7 @@ class TestFlashCrowd:
 
     def test_pinned_burst_lands_on_named_site_then_rebalances(self):
         result = _run(
-            [FlashCrowd(window=1, num_streams=8, dataset="waymo", site="site-0")],
+            [FlashCrowd(at_seconds=200.0, num_streams=8, dataset="waymo", site="site-0")],
             gpus_per_site=1,
         )
         boundary = result.windows[1]
@@ -178,10 +178,10 @@ class TestFlashCrowd:
 class TestWanDegradation:
     def test_degraded_site_pays_more_per_migration(self):
         events_degraded = [
-            WanDegradation(window=1, site="site-0", uplink_factor=0.1),
-            SiteFailure(window=2, site="site-0"),
+            WanDegradation(at_seconds=200.0, site="site-0", uplink_factor=0.1),
+            SiteFailure(at_seconds=400.0, site="site-0"),
         ]
-        events_clean = [SiteFailure(window=2, site="site-0")]
+        events_clean = [SiteFailure(at_seconds=400.0, site="site-0")]
         degraded = _run(events_degraded)
         clean = _run(events_clean)
         degraded_cost = degraded.windows[2].migration_seconds
@@ -194,8 +194,8 @@ class TestWanDegradation:
         events = [
             # Uplink cut to 1%: the ~400 Mbit checkpoint takes far longer
             # than one 200 s window to leave the failing site.
-            WanDegradation(window=1, site="site-0", uplink_factor=0.01),
-            SiteFailure(window=2, site="site-0"),
+            WanDegradation(at_seconds=200.0, site="site-0", uplink_factor=0.01),
+            SiteFailure(at_seconds=400.0, site="site-0"),
         ]
         result = _run(events, num_windows=5)
         evacuated = {
@@ -225,7 +225,7 @@ class TestWanDegradation:
             Scenario(
                 events=[
                     WanDegradation(
-                        window=1, site="site-0", uplink_factor=0.5, until_window=3
+                        at_seconds=200.0, site="site-0", uplink_factor=0.5, until_at=600.0
                     )
                 ]
             ),
@@ -251,8 +251,12 @@ class TestWanDegradation:
             controller,
             Scenario(
                 events=[
-                    WanDegradation(window=1, site="site-0", uplink_factor=0.1, until_window=2),
-                    WanDegradation(window=2, site="site-0", uplink_factor=0.5, until_window=5),
+                    WanDegradation(
+                        at_seconds=200.0, site="site-0", uplink_factor=0.1, until_at=400.0
+                    ),
+                    WanDegradation(
+                        at_seconds=400.0, site="site-0", uplink_factor=0.5, until_at=1000.0
+                    ),
                 ]
             ),
         )
@@ -272,8 +276,8 @@ class TestWanDegradation:
         """A second failure while down must push recovery out, not pull it in."""
         result = _run(
             [
-                SiteFailure(window=1, site="site-0", recovery_window=3),
-                SiteFailure(window=2, site="site-0", recovery_window=5),
+                SiteFailure(at_seconds=200.0, site="site-0", recovery_at=600.0),
+                SiteFailure(at_seconds=400.0, site="site-0", recovery_at=1000.0),
             ],
             num_windows=6,
         )
@@ -283,11 +287,11 @@ class TestWanDegradation:
 
     def test_invalid_scenarios_rejected(self):
         with pytest.raises(FleetError):
-            SiteFailure(window=3, site="s", recovery_window=3)
+            SiteFailure(at_seconds=600.0, site="s", recovery_at=600.0)
         with pytest.raises(FleetError):
-            WanDegradation(window=1, site="s", uplink_factor=0.0)
+            WanDegradation(at_seconds=200.0, site="s", uplink_factor=0.0)
         with pytest.raises(FleetError):
-            FlashCrowd(window=0, num_streams=0)
+            FlashCrowd(at_seconds=0.0, num_streams=0)
 
 
 class TestEngineParity:
@@ -301,12 +305,18 @@ class TestEngineParity:
     """
 
     def golden_scenario(self):
+        # Recorded with window-indexed events on 200 s windows; window k is
+        # at_seconds = k * 200.
         return Scenario(
             events=[
-                WanDegradation(window=1, site="site-0", uplink_factor=0.02, until_window=6),
-                FlashCrowd(window=2, num_streams=3, dataset="urban_traffic"),
-                SiteFailure(window=3, site="site-0", recovery_window=5),
-                WanDegradation(window=4, site="site-2", uplink_factor=0.3, until_window=6),
+                WanDegradation(
+                    at_seconds=200.0, site="site-0", uplink_factor=0.02, until_at=1200.0
+                ),
+                FlashCrowd(at_seconds=400.0, num_streams=3, dataset="urban_traffic"),
+                SiteFailure(at_seconds=600.0, site="site-0", recovery_at=1000.0),
+                WanDegradation(
+                    at_seconds=800.0, site="site-2", uplink_factor=0.3, until_at=1200.0
+                ),
             ]
         )
 
@@ -503,9 +513,11 @@ class TestHeterogeneousWindows:
 
     def test_window_indexed_events_are_rejected_up_front(self):
         controller = make_fleet(2, 1, gpus_per_site=2, window_duration=[150.0, 200.0])
-        with pytest.raises(FleetError):
-            FleetSimulator(controller, Scenario(events=[SiteFailure(window=1, site="site-0")]))
-        # Time-indexed events are fine on the same fleet.
+        # Events are placed in seconds only: the window-indexed form no
+        # longer exists, so it fails at construction.
+        with pytest.raises(TypeError):
+            SiteFailure(window=1, site="site-0")
+        # Seconds-placed events are fine on a heterogeneous fleet.
         FleetSimulator(
             controller, Scenario(events=[SiteFailure(at_seconds=150.0, site="site-0")])
         )
@@ -577,9 +589,9 @@ class TestTransferArrivalSemantics:
         controller = make_fleet(3, 2, gpus_per_site=2, seed=SEED)
         scenario = Scenario(
             events=[
-                WanDegradation(window=1, site="site-0", uplink_factor=0.06),
-                SiteFailure(window=2, site="site-0"),
-                SiteFailure(window=2, site="site-1"),
+                WanDegradation(at_seconds=200.0, site="site-0", uplink_factor=0.06),
+                SiteFailure(at_seconds=400.0, site="site-0"),
+                SiteFailure(at_seconds=400.0, site="site-1"),
             ]
         )
         result = FleetSimulator(controller, scenario, clock=ManualClock()).run(7)
@@ -682,7 +694,7 @@ class TestAsyncControlPlane:
 
     def test_default_cadence_matches_window_boundaries(self):
         controller = make_fleet(2, 2, gpus_per_site=1, seed=SEED)
-        scenario = Scenario(events=[FlashCrowd(window=1, num_streams=8, site="site-0")])
+        scenario = Scenario(events=[FlashCrowd(at_seconds=200.0, num_streams=8, site="site-0")])
         simulator = FleetSimulator(controller, scenario, clock=ManualClock())
         simulator.run(3)
         boundary_times = {
@@ -702,31 +714,27 @@ class TestScenarioValidationUpFront:
     def test_unknown_site_rejected_at_construction(self):
         controller = make_fleet(2, 1, gpus_per_site=2, seed=SEED)
         for event in (
-            SiteFailure(window=1, site="site-9"),
-            WanDegradation(window=1, site="nope", uplink_factor=0.5),
-            FlashCrowd(window=1, num_streams=2, site="site-9"),
+            SiteFailure(at_seconds=200.0, site="site-9"),
+            WanDegradation(at_seconds=200.0, site="nope", uplink_factor=0.5),
+            FlashCrowd(at_seconds=200.0, num_streams=2, site="site-9"),
         ):
             with pytest.raises(FleetError, match="unknown site"):
                 FleetSimulator(controller, Scenario(events=[event]))
 
     def test_trigger_indexing_is_exclusive(self):
         with pytest.raises(FleetError):
-            SiteFailure(site="s")  # neither window nor at_seconds
-        with pytest.raises(FleetError):
-            SiteFailure(window=1, at_seconds=100.0, site="s")
+            SiteFailure(site="s")  # no at_seconds
         with pytest.raises(FleetError):
             FlashCrowd(at_seconds=-1.0, num_streams=1)
 
     def test_expiry_must_match_trigger_indexing_and_follow_it(self):
         with pytest.raises(FleetError):
-            SiteFailure(window=1, site="s", recovery_at=500.0)
-        with pytest.raises(FleetError):
-            SiteFailure(at_seconds=100.0, site="s", recovery_window=3)
-        with pytest.raises(FleetError):
             SiteFailure(at_seconds=100.0, site="s", recovery_at=100.0)
         with pytest.raises(FleetError):
+            SiteFailure(at_seconds=100.0, site="s", recovery_at=50.0)
+        with pytest.raises(FleetError):
             WanDegradation(at_seconds=100.0, site="s", uplink_factor=0.5, until_at=50.0)
-        # Valid time-indexed expiries construct fine.
+        # Expiries after their trigger construct fine.
         SiteFailure(at_seconds=100.0, site="s", recovery_at=300.0)
         WanDegradation(at_seconds=100.0, site="s", uplink_factor=0.5, until_at=300.0)
 
@@ -755,7 +763,7 @@ class TestProfileSharing:
             profile_sharing=profile_sharing,
         )
         scenario = Scenario(
-            events=[FlashCrowd(window=2, num_streams=2, dataset="cityscapes")]
+            events=[FlashCrowd(at_seconds=400.0, num_streams=2, dataset="cityscapes")]
         )
         simulator = FleetSimulator(controller, scenario)
         return simulator, simulator.run(num_windows)
@@ -818,7 +826,7 @@ class TestProfileSharing:
 
         healthy = arrival_of_first_push([])
         degraded = arrival_of_first_push(
-            [WanDegradation(window=0, site="site-0", uplink_factor=0.05)]
+            [WanDegradation(at_seconds=0.0, site="site-0", uplink_factor=0.05)]
         )
         assert degraded > healthy
 
@@ -841,7 +849,7 @@ class TestProfileSharing:
         controller = make_fleet(2, 3, gpus_per_site=2, seed=SEED)
         explicit_off = FleetSimulator(
             controller,
-            Scenario(events=[FlashCrowd(window=2, num_streams=2, dataset="cityscapes")]),
+            Scenario(events=[FlashCrowd(at_seconds=400.0, num_streams=2, dataset="cityscapes")]),
         ).run(4)
         assert default_run.mean_accuracy == explicit_off.mean_accuracy
         assert default_run.worst_stream_accuracy(10.0) == explicit_off.worst_stream_accuracy(10.0)
@@ -860,7 +868,7 @@ class TestProfileSharing:
         policy = controller.admission_policy
         assert policy.name == "accuracy-greedy"
         scenario = Scenario(
-            events=[FlashCrowd(window=2, num_streams=2, dataset="cityscapes")]
+            events=[FlashCrowd(at_seconds=400.0, num_streams=2, dataset="cityscapes")]
         )
         result = FleetSimulator(controller, scenario).run(4)
         # The flash crowd was placed and served; scoring went through the

@@ -35,10 +35,14 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "fleet_parity_golde
 def golden_scenario():
     return Scenario(
         events=[
-            WanDegradation(window=1, site="site-0", uplink_factor=0.02, until_window=6),
-            FlashCrowd(window=2, num_streams=3, dataset="urban_traffic"),
-            SiteFailure(window=3, site="site-0", recovery_window=5),
-            WanDegradation(window=4, site="site-2", uplink_factor=0.3, until_window=6),
+            WanDegradation(
+                at_seconds=200.0, site="site-0", uplink_factor=0.02, until_at=1200.0
+            ),
+            FlashCrowd(at_seconds=400.0, num_streams=3, dataset="urban_traffic"),
+            SiteFailure(at_seconds=600.0, site="site-0", recovery_at=1000.0),
+            WanDegradation(
+                at_seconds=800.0, site="site-2", uplink_factor=0.3, until_at=1200.0
+            ),
         ]
     )
 

@@ -159,8 +159,8 @@ class TestHandBuiltLandscapes:
 class TestUnderProvisionedRelease:
     """Pin the level-*dependent* post-retraining factor path.
 
-    With ``release_retraining_gpu_to_inference`` (the default), the factor
-    applied after retraining depends on the level only when even the
+    The retraining share rejoins inference after retraining, so the factor
+    applied after it depends on the level only when even the
     post-window GPU share under-provisions the chosen inference config —
     the one region where the batched path must fall back from its collapsed
     ``(row, config)`` arithmetic to the full ``(row, level, config)`` tensor

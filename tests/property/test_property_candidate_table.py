@@ -73,7 +73,6 @@ class TestVectorisedEqualsScalar:
         st.integers(min_value=0, max_value=20),
         st.sampled_from([0.05, 0.1, 0.25, 1.0 / 3.0]),
         st.sampled_from([0.0, 0.3, 0.4, 0.6, 0.9]),
-        st.booleans(),
     )
     def test_decision_matches_reference_oracle(
         self,
@@ -84,7 +83,6 @@ class TestVectorisedEqualsScalar:
         retraining_units,
         quantum,
         a_min,
-        release,
     ):
         total_units = inference_units + retraining_units
         if total_units == 0:
@@ -96,7 +94,6 @@ class TestVectorisedEqualsScalar:
             a_min=a_min,
             quantum=quantum,
             total_units=total_units,
-            release_retraining_gpu_to_inference=release,
         )
         vectorised = table.decision(inference_units, retraining_units)
         scalar = pick_configs_for_stream(
@@ -105,7 +102,6 @@ class TestVectorisedEqualsScalar:
             retraining_units * quantum,
             window_seconds=200.0,
             a_min=a_min,
-            release_retraining_gpu_to_inference=release,
         )
         assert vectorised.inference_config == scalar.inference_config
         assert vectorised.retraining_config == scalar.retraining_config

@@ -10,8 +10,7 @@ requests.
 from repro.cluster import EdgeServerSpec
 from repro.configs import ConfigurationSpace
 from repro.core import EkyaPolicy, OracleProfileSource, ThiefScheduler
-from repro.core.batched_planner import BatchedThiefScheduler, inference_gpu_of
-from repro.core.candidate_table import build_candidate_tables
+from repro.core.batched_planner import BatchedThiefScheduler
 from repro.datasets import make_workload
 from repro.fleet.factory import make_fleet
 from repro.profiles import AnalyticDynamics
@@ -81,21 +80,3 @@ class TestFleetWiring:
         for site in controller.sites:
             assert isinstance(site.policy.scheduler, BatchedThiefScheduler)
         assert not hasattr(controller, "batched_planning")
-
-
-class TestHelpers:
-    def test_inference_gpu_of_matches_lattice_units(self):
-        streams, spec = _problem(num_streams=1)
-        policy = _policy()
-        request = policy.prepare_request(streams, 0, spec)
-        quantum = request.delta
-        tables = build_candidate_tables(
-            request.streams,
-            window_seconds=request.window_seconds,
-            a_min=request.a_min,
-            quantum=quantum,
-            total_units=int(round(request.total_gpus / quantum)),
-        )
-        table = next(iter(tables.values()))
-        for units in (0, 1, 3):
-            assert inference_gpu_of(table, units) == units * quantum

@@ -95,7 +95,7 @@ class TestSiteGpuBookkeeping:
 class TestGpuFailureScenarioEvent:
     def test_validates_trigger_and_expiry(self):
         event = GpuFailure(site="site-0", at_seconds=50.0, recovery_at=250.0, num_gpus=2)
-        assert event.recovery_seconds(None) == 250.0
+        assert (event.at_seconds, event.recovery_at) == (50.0, 250.0)
         with pytest.raises(FleetError):
             GpuFailure(site="site-0")  # no trigger
         with pytest.raises(FleetError):

@@ -113,7 +113,7 @@ class TestEventRing:
         simulator.run(1)
         first = simulator.event_trace
         assert simulator.event_trace is first  # O(1) repeated reads
-        simulator.run(1, start_window=1)
+        simulator.run_window(1)
         second = simulator.event_trace
         assert second is not first
         assert len(second) > len(first)
@@ -285,7 +285,7 @@ class TestPrometheusExport:
         clock = ManualClock()
         controller = make_fleet(2, 4, gpus_per_site=1, seed=0, clock=clock)
         scenario = Scenario(
-            events=[SiteFailure(window=1, site="site-0", recovery_window=2)]
+            events=[SiteFailure(at_seconds=200.0, site="site-0", recovery_at=400.0)]
         )
         simulator = FleetSimulator(controller, scenario, clock=clock)
         result = simulator.run(3)

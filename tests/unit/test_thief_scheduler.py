@@ -135,8 +135,6 @@ class TestThiefScheduler:
     def test_invalid_quantum(self):
         with pytest.raises(SchedulingError):
             ThiefScheduler(steal_quantum=0.0)
-        with pytest.raises(SchedulingError):
-            ThiefScheduler(max_rounds=0)
 
 
 class TestThiefOnTable1:
