@@ -13,8 +13,9 @@ the scenario seed, so the committed baseline
 ``run_benchmarks.py`` runs :func:`check_policy_against_baseline` on every
 PR, ``--quick`` included: both arms of all three scenarios must reproduce
 the committed baseline bit for bit (the greedy arm is the default control
-plane and must never drift).  The full run appends the whole A/B table to
-``BENCH_fleet.json`` under a ``policy`` key.
+plane and must never drift).  Running this file prints and gates the table
+but records nothing; ``run_benchmarks.py --fleet-output PATH`` appends it
+to a fleet trajectory under a ``policy`` key.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_io import append_trajectory, load_json_if_exists  # noqa: E402
-from fleet_bench_core import BENCH_FLEET_JSON_PATH  # noqa: E402
+from bench_io import load_json_if_exists  # noqa: E402
 
 from repro.fleet.policy.ab import COMPARED_METRICS, run_policy_ab  # noqa: E402
 
@@ -114,8 +114,6 @@ def main(argv=None) -> int:
         f"  predictive wins {measured['predictive_wins']} of "
         f"{measured['num_scenarios']} scenarios"
     )
-    path = append_trajectory(BENCH_FLEET_JSON_PATH, {"policy": measured})
-    print(f"policy trajectory appended to {path}")
     baseline = load_policy_baseline()
     if baseline is None:
         print(f"no committed policy baseline at {POLICY_BASELINE_PATH}; not gated")

@@ -13,7 +13,8 @@ the ring and the process peak RSS::
 
 ``run_benchmarks.py --quick`` runs the smaller committed-baseline shape
 (``benchmarks/baselines/telemetry_baseline.json``) as a CI memory-bound
-gate; the full point is appended to ``BENCH_fleet.json`` under a
+gate.  Running this file records nothing; ``run_benchmarks.py
+--fleet-output PATH`` appends the full point to a fleet trajectory under a
 ``telemetry`` key.
 """
 
@@ -28,8 +29,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_io import append_trajectory, load_json_if_exists  # noqa: E402
-from fleet_bench_core import BENCH_FLEET_JSON_PATH, build_fleet_simulator  # noqa: E402
+from bench_io import load_json_if_exists  # noqa: E402
+from fleet_bench_core import build_fleet_simulator  # noqa: E402
 
 TELEMETRY_BASELINE_PATH = Path(__file__).resolve().parent / "baselines" / "telemetry_baseline.json"
 
@@ -164,8 +165,6 @@ def main(argv=None) -> int:
             f"peak RSS {point['peak_rss_kb'] / 1024:.0f} MiB"
         )
     print(f"  footprint growth ratio {scaling['footprint_growth_ratio']:.3f}x")
-    path = append_trajectory(BENCH_FLEET_JSON_PATH, {"telemetry": scaling})
-    print(f"telemetry trajectory appended to {path}")
     failures = check_telemetry_bound(scaling, {"max_growth_ratio": FLATNESS_BOUND})
     if failures:
         print("TELEMETRY MEMORY BOUND VIOLATED:")

@@ -2,9 +2,8 @@
 """Benchmark entry point with committed-regression gates.
 
 Runs the scheduler benchmarks (paper operating point + 10→100-stream
-scaling sweep) and the fleet-orchestration sweep (1→16 sites), appends
-timestamped entries to ``BENCH_scheduler.json`` / ``BENCH_fleet.json``, and
-fails (exit code 1) if the scheduler's decision latency at the operating
+scaling sweep) and the fleet-orchestration sweep (1→16 sites), and fails
+(exit code 1) if the scheduler's decision latency at the operating
 point has regressed more than 2× against the committed baseline in
 ``benchmarks/baselines/scheduler_baseline.json``, or the fleet sweep has
 regressed against ``benchmarks/baselines/fleet_baseline.json``.
@@ -25,10 +24,17 @@ the control-policy gate (both arms of all three reference scenarios must
 reproduce ``policy_baseline.json`` bit for bit, as in the full run),
 skipping the scaling sweeps — the smoke mode CI uses on every PR.
 
+A run records nothing by default, so verifying a change leaves the tree
+clean.  A full run appends a timestamped entry to a trajectory JSON only
+when one is named: ``--output`` for the scheduler sweep (the committed one
+is ``BENCH_scheduler.json``), ``--fleet-output`` for the fleet sweep
+(``BENCH_fleet.json``).  Quick mode never records.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py [--no-check] [--quick] \
-        [--output BENCH_scheduler.json] [--baseline benchmarks/baselines/scheduler_baseline.json]
+        [--output BENCH_scheduler.json] [--fleet-output BENCH_fleet.json] \
+        [--baseline benchmarks/baselines/scheduler_baseline.json]
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from bench_policy import (
 )
 from bench_telemetry import check_quick_telemetry_bound, measure_telemetry_scaling
 from fleet_bench_core import (
-    BENCH_FLEET_JSON_PATH,
     FLEET_BASELINE_PATH,
     check_fleet_against_baseline,
     check_quick_fleet_parity,
@@ -58,7 +63,6 @@ from fleet_bench_core import (
 )
 from scheduler_bench_core import (
     BASELINE_PATH,
-    BENCH_JSON_PATH,
     emit_bench_json,
     load_baseline,
     measure_batched_planner,
@@ -169,8 +173,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=BENCH_JSON_PATH,
-        help="trajectory JSON to append to (default: repo-root BENCH_scheduler.json)",
+        default=None,
+        help="scheduler trajectory JSON to append to (default: not recorded)",
     )
     parser.add_argument(
         "--baseline",
@@ -181,7 +185,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-check",
         action="store_true",
-        help="record the run without gating against the baseline",
+        help="measure without gating against the baselines",
     )
     parser.add_argument(
         "--quick",
@@ -191,8 +195,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--fleet-output",
         type=Path,
-        default=BENCH_FLEET_JSON_PATH,
-        help="fleet trajectory JSON to append to (default: repo-root BENCH_fleet.json)",
+        default=None,
+        help="fleet trajectory JSON to append to (default: not recorded)",
     )
     parser.add_argument(
         "--fleet-baseline",
@@ -236,8 +240,9 @@ def main(argv=None) -> int:
                 f"{row['scheduler_runtime_seconds'] * 1000:8.1f} ms | "
                 f"evaluations {row['pick_configs_evaluations']}"
             )
-        path = emit_bench_json(operating_point, scaling, args.output, batched=batched)
-        print(f"trajectory appended to {path}")
+        if args.output is not None:
+            path = emit_bench_json(operating_point, scaling, args.output, batched=batched)
+            print(f"trajectory appended to {path}")
 
         print("measuring fleet scaling sweep (1 -> 16 sites, 25 streams/site)...")
         fleet_scaling = measure_fleet_scaling()
@@ -297,16 +302,17 @@ def main(argv=None) -> int:
             f"  predictive wins {policy['predictive_wins']} of "
             f"{policy['num_scenarios']} scenarios"
         )
-        fleet_path = emit_fleet_bench_json(
-            fleet_scaling,
-            scenario,
-            args.fleet_output,
-            heterogeneous=heterogeneous,
-            profile_sharing=sharing,
-            telemetry=telemetry,
-            policy=policy,
-        )
-        print(f"fleet trajectory appended to {fleet_path}")
+        if args.fleet_output is not None:
+            fleet_path = emit_fleet_bench_json(
+                fleet_scaling,
+                scenario,
+                args.fleet_output,
+                heterogeneous=heterogeneous,
+                profile_sharing=sharing,
+                telemetry=telemetry,
+                policy=policy,
+            )
+            print(f"fleet trajectory appended to {fleet_path}")
 
     if args.no_check:
         return 0

@@ -25,7 +25,7 @@ are reproducible run to run.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..configs.inference import InferenceConfig
 from ..core.estimator import estimate_stream_average_accuracy
@@ -41,6 +41,11 @@ from .site import EdgeSite
 #: every frame at full resolution, the most demanding (and most accurate)
 #: pipeline, so the estimate is sensitive to how much GPU the site can spare.
 _REFERENCE_INFERENCE = InferenceConfig(frame_sampling_rate=1.0, resolution_scale=1.0)
+
+#: The site-independent half of a stream's score: ``(clamped start accuracy,
+#: store cost, store accuracy)``, the store terms ``(0.0, None)`` when the
+#: fleet store has no curve point for the stream.
+StreamTerms = Tuple[float, float, Optional[float]]
 
 
 class AdmissionPolicy(abc.ABC):
@@ -122,11 +127,17 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
         self._dynamics = dynamics
         self._shared_profiles = shared_profiles
 
-    def _best_shared_candidate(self, stream: VideoStream):
-        """The fleet store's best curve point for ``stream`` (site-independent)."""
-        if self._shared_profiles is None:
-            return None
-        return self._shared_profiles.best_candidate(stream_profile_key(stream))
+    def stream_terms(self, stream: VideoStream, window_index: int) -> StreamTerms:
+        """The per-stream inputs of :meth:`site_score`, looked up once per
+        stream: its clamped start accuracy and the fleet store's best curve
+        point (neither depends on the candidate site)."""
+        start = clamp(self._dynamics.start_accuracy(stream, window_index))
+        if self._shared_profiles is not None:
+            candidate = self._shared_profiles.best_candidate(stream_profile_key(stream))
+            if candidate is not None:
+                _, gpu_seconds, post_accuracy = candidate
+                return (start, gpu_seconds, post_accuracy)
+        return (start, 0.0, None)
 
     def score(
         self,
@@ -144,28 +155,31 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
         status quo at its source site with the same yardstick as the
         destination estimate.
         """
-        return self._score(
-            stream,
-            site,
-            window_index,
-            self._best_shared_candidate(stream),
-            already_placed=already_placed,
+        return self.site_score(
+            self.stream_terms(stream, window_index), site, already_placed=already_placed
         )
 
-    def _score(
-        self,
-        stream: VideoStream,
-        site: EdgeSite,
-        window_index: int,
-        candidate,
-        *,
-        already_placed: bool = False,
+    def site_score(
+        self, terms: StreamTerms, site: EdgeSite, *, already_placed: bool = False
     ) -> float:
+        """:meth:`score` from a stream's precomputed :meth:`stream_terms`."""
         occupants = site.num_streams if already_placed else site.num_streams + 1
         share = site.spec.num_gpus / max(occupants, 1)
-        start = clamp(self._dynamics.start_accuracy(stream, window_index))
-        if candidate is not None:
-            _, gpu_seconds, post_accuracy = candidate
+        start, gpu_seconds, post_accuracy = terms
+        return self._estimate(
+            start, gpu_seconds, post_accuracy, share, site.spec.window_duration
+        )
+
+    def _estimate(
+        self,
+        start: float,
+        gpu_seconds: float,
+        post_accuracy: Optional[float],
+        share: float,
+        window_seconds: float,
+    ) -> float:
+        """Window-average accuracy: a pure function of its float inputs."""
+        if post_accuracy is not None:
             estimate = estimate_stream_average_accuracy(
                 start_accuracy=start,
                 post_retraining_accuracy=clamp(post_accuracy),
@@ -173,7 +187,7 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
                 inference_config=_REFERENCE_INFERENCE,
                 inference_gpu=share / 2.0,
                 retraining_gpu=share / 2.0,
-                window_seconds=site.spec.window_duration,
+                window_seconds=window_seconds,
             )
         else:
             estimate = estimate_stream_average_accuracy(
@@ -183,7 +197,7 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
                 inference_config=_REFERENCE_INFERENCE,
                 inference_gpu=share,
                 retraining_gpu=0.0,
-                window_seconds=site.spec.window_duration,
+                window_seconds=window_seconds,
             )
         return estimate.average_accuracy
 
@@ -191,9 +205,9 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
         self, stream: VideoStream, sites: Sequence[EdgeSite], window_index: int
     ) -> EdgeSite:
         self._require_sites(sites)
-        # The fleet store's best curve point is per stream, not per site —
-        # look it up once for the whole candidate scan.
-        candidate = self._best_shared_candidate(stream)
+        # The start accuracy and the store's best point are per stream, not
+        # per site: look them up once for the whole candidate scan.
+        terms = self.stream_terms(stream, window_index)
         # Once a site has GPU to spare the estimate saturates (the reference
         # pipeline cannot get more accurate than the model), so ties are
         # common early on; break them toward the less-loaded site, then the
@@ -204,7 +218,7 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
         return min(
             sites,
             key=lambda site: (
-                -self._score(stream, site, window_index, candidate),
+                -self.site_score(terms, site),
                 site.load,
                 site.name,
             ),

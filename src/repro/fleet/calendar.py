@@ -319,15 +319,9 @@ class EventCalendar:
     backwards.
     """
 
-    start_time: float = 0.0
     _heap: List[Tuple[float, int, int, SimEvent]] = field(default_factory=list)
     _seq: int = 0
-    _now: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.start_time < 0:
-            raise FleetError("start_time must be non-negative")
-        self._now = float(self.start_time)
+    _now: float = field(default=0.0, init=False)
 
     @property
     def now(self) -> float:

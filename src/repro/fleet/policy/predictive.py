@@ -52,6 +52,8 @@ from ..admission import AccuracyGreedyAdmission
 from .base import ControlPolicy, ControlSignals
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ...profiles.dynamics import StreamDynamics
+    from ...profiles.fleet_store import FleetProfileStore
     from ..controller import FleetController
     from ..migration import MigrationEvent
     from ..site import EdgeSite
@@ -60,6 +62,39 @@ __all__ = ["PredictiveProfitPolicy"]
 
 #: ``(profit, victim, source, destination)`` — a fully-scored candidate move.
 _Candidate = Tuple[float, str, "EdgeSite", "EdgeSite"]
+
+#: ``(start, store cost, store accuracy or None, share, window_seconds)``.
+_EstimateKey = Tuple[float, float, Optional[float], float, float]
+
+
+class _ScanScorer(AccuracyGreedyAdmission):
+    """The admission yardstick for one migration round, memoised.
+
+    A scan scores every (victim, destination) cell, and after a migration
+    it scores them all again although only the cells touching the two
+    changed sites have new inputs.  Estimates are a pure function of five
+    floats, so they are memoised on those values: unchanged cells hit the
+    memo and no invalidation is needed.  The scorer — memo included — is
+    discarded when the round ends.
+    """
+
+    def __init__(
+        self,
+        dynamics: "StreamDynamics",
+        *,
+        shared_profiles: Optional["FleetProfileStore"],
+    ) -> None:
+        super().__init__(dynamics, shared_profiles=shared_profiles)
+        self._memo: Dict[_EstimateKey, float] = {}
+        #: Estimator evaluations actually run (memo misses).
+        self.estimates = 0
+
+    def _estimate(self, *key) -> float:
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = super()._estimate(*key)
+            self.estimates += 1
+        return value
 
 
 class PredictiveProfitPolicy(ControlPolicy):
@@ -88,6 +123,8 @@ class PredictiveProfitPolicy(ControlPolicy):
         self._cancellation_cost_weight = cancellation_cost_weight
         self._backlog_limit = backlog_limit
         self._cancellation_pay_threshold = cancellation_pay_threshold
+        #: Score estimates evaluated across every migration round so far.
+        self.score_estimates = 0
 
     # ------------------------------------------------------------- main entry
     def rebalance(
@@ -113,7 +150,7 @@ class PredictiveProfitPolicy(ControlPolicy):
         signals: Optional[ControlSignals],
     ) -> List["MigrationEvent"]:
         sharing = controller.profile_sharing
-        scorer = AccuracyGreedyAdmission(
+        scorer = _ScanScorer(
             controller.dynamics,
             shared_profiles=sharing.store if sharing is not None else None,
         )
@@ -134,12 +171,13 @@ class PredictiveProfitPolicy(ControlPolicy):
             events.append(
                 controller._migrate(victim, destination, window_index, "predictive")
             )
+        self.score_estimates += scorer.estimates
         return events
 
     def _best_candidate(
         self,
         controller: "FleetController",
-        scorer: AccuracyGreedyAdmission,
+        scorer: _ScanScorer,
         healthy: List["EdgeSite"],
         window_index: int,
         signals: Optional[ControlSignals],
@@ -158,9 +196,8 @@ class PredictiveProfitPolicy(ControlPolicy):
                 ):
                     continue  # checkpoint still in flight — not movable yet
                 stream = source.server.stream(victim)
-                status_quo = scorer.score(
-                    stream, source, window_index, already_placed=True
-                )
+                terms = scorer.stream_terms(stream, window_index)
+                status_quo = scorer.site_score(terms, source, already_placed=True)
                 confidence = self._confidence(controller, stream, now)
                 waste_penalty = self._cancellation_penalty(source, victim, signals)
                 for destination in healthy:
@@ -170,11 +207,9 @@ class PredictiveProfitPolicy(ControlPolicy):
                         continue  # congested: WAN backlog already queued there
                     profit = self._profit(
                         controller,
-                        scorer,
-                        stream,
                         source,
                         destination,
-                        window_index,
+                        scorer.site_score(terms, destination),
                         status_quo,
                         confidence,
                         waste_penalty,
@@ -188,16 +223,14 @@ class PredictiveProfitPolicy(ControlPolicy):
     def _profit(
         self,
         controller: "FleetController",
-        scorer: AccuracyGreedyAdmission,
-        stream,
         source: "EdgeSite",
         destination: "EdgeSite",
-        window_index: int,
+        destination_score: float,
         status_quo: float,
         confidence: float,
         waste_penalty: float,
     ) -> float:
-        gain = scorer.score(stream, destination, window_index) - status_quo
+        gain = destination_score - status_quo
         if gain > 0.0:
             # Stale curves → less trust in the predicted upside.  Downside
             # estimates stay undiscounted: uncertainty never makes a losing

@@ -36,6 +36,9 @@ from .profile import StreamWindowProfile
 #: A fleet-store key: ``(dataset, drift-regime)``.
 ProfileKey = Tuple[str, str]
 
+#: A key's best curve point: ``(config, mean gpu_seconds, mean accuracy)``.
+BestPoint = Tuple[RetrainingConfig, float, float]
+
 
 def regime_key(profile: DriftProfile) -> str:
     """Canonical string identifying a drift regime.
@@ -91,6 +94,8 @@ class FleetProfileStore:
         self._pushes: Dict[ProfileKey, int] = {}
         #: Arrival time of each key's latest push (tracked only with decay).
         self._last_push_at: Dict[ProfileKey, float] = {}
+        #: ``best_candidate`` answers, popped by ``push`` (the only mutation).
+        self._best: Dict[ProfileKey, Optional[BestPoint]] = {}
 
     @property
     def decay_half_life(self) -> Optional[float]:
@@ -108,6 +113,7 @@ class FleetProfileStore:
         Out-of-order arrivals never *inflate* old curves: elapsed time is
         clamped at zero, so a late-arriving push decays nothing.
         """
+        self._best.pop(key, None)
         curves = self._sums.setdefault(key, {})
         if self._decay_half_life is not None:
             last = self._last_push_at.get(key)
@@ -144,19 +150,27 @@ class FleetProfileStore:
             if count > 0
         }
 
-    def best_candidate(self, key: ProfileKey) -> Optional[Tuple[RetrainingConfig, float, float]]:
+    def best_candidate(self, key: ProfileKey) -> Optional[BestPoint]:
         """The key's best mean-accuracy configuration as ``(config, cost, acc)``.
 
         Ties break toward the cheaper configuration, then the configuration
         key, so the answer is deterministic.  ``None`` when the key is
         unknown — callers fall back to their cold-start behaviour.
+
+        The answer is memoised per key until the key's next ``push``: a
+        control scan asks for the same point once per victim, and the
+        argmax over hashed configurations dominated its cost.
         """
+        if key in self._best:
+            return self._best[key]
         curves = self.curves_for(key)
-        if not curves:
-            return None
-        config = min(curves, key=lambda cfg: (-curves[cfg][1], curves[cfg][0], cfg.key()))
-        cost, accuracy = curves[config]
-        return (config, cost, accuracy)
+        best: Optional[BestPoint] = None
+        if curves:
+            config = min(curves, key=lambda cfg: (-curves[cfg][1], curves[cfg][0], cfg.key()))
+            cost, accuracy = curves[config]
+            best = (config, cost, accuracy)
+        self._best[key] = best
+        return best
 
     def pushes_for(self, key: ProfileKey) -> int:
         return self._pushes.get(key, 0)

@@ -3,8 +3,8 @@
 The ISSUE's bar: replaying the three committed reference scenarios on
 identical seeded calendars, the predictive profit policy must improve the
 p10 worst-stream accuracy AND reduce wasted GPU-seconds versus the greedy
-default on at least two of them.  ``benchmarks/bench_policy.py`` records
-the same table in ``BENCH_fleet.json`` and gates it against the committed
+default on at least two of them.  ``benchmarks/bench_policy.py`` gates
+the same table against the committed
 ``policy_baseline.json``; this test is the in-tree statement of the
 criterion itself.
 """

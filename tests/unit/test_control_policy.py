@@ -8,12 +8,17 @@ whole scans when no candidate clears ``min_profit``, validates its knobs,
 and the proactive-cancellation channel degrades to a counted no-op without
 a simulator hook.  The departure hook must fire exactly once per
 mid-window migration — double-firing would double-cancel and double-reclaim.
+The predictive scan's memos (the store's best point, the scan-scoped score
+memo) are differential-tested against their uncached references.
 """
+
+from unittest import mock
 
 import pytest
 
 from repro.exceptions import FleetError
 from repro.fleet import (
+    ChaosInjector,
     FlashCrowd,
     FleetSimulator,
     GreedyRebalancePolicy,
@@ -23,7 +28,9 @@ from repro.fleet import (
     build_policy,
     make_fleet,
 )
+from repro.fleet.admission import AccuracyGreedyAdmission
 from repro.fleet.policy.ab import AbScenario, run_policy_scenario
+from repro.profiles import FleetProfileStore
 from repro.utils.clock import ManualClock
 
 SEED = 0
@@ -203,3 +210,105 @@ class TestAbScenarioValidation:
             AbScenario(name="lonely", num_sites=1)
         with pytest.raises(FleetError):
             AbScenario(name="instant", num_windows=0)
+
+
+def _uncached_best_candidate(store, key):
+    """The store lookup as it was before its memo: an argmax per call."""
+    curves = store.curves_for(key)
+    if not curves:
+        return None
+    config = min(curves, key=lambda cfg: (-curves[cfg][1], curves[cfg][0], cfg.key()))
+    cost, accuracy = curves[config]
+    return (config, cost, accuracy)
+
+
+class _MemolessScorer(AccuracyGreedyAdmission):
+    """A scan scorer without the score memo: every cell runs the estimator."""
+
+    def __init__(self, dynamics, *, shared_profiles):
+        super().__init__(dynamics, shared_profiles=shared_profiles)
+        self.estimates = 0
+
+    def _estimate(self, *key):
+        self.estimates += 1
+        return super()._estimate(*key)
+
+
+def _chaos_run(seed, *, window_duration=200.0, decay_half_life=None, num_windows=6):
+    """Predictive control with sharing, chaos faults and a flash crowd."""
+    injector = ChaosInjector(seed=seed, intensity=2.0)
+    clock = ManualClock()
+    policy = PredictiveProfitPolicy()
+    controller = make_fleet(
+        4,
+        4,
+        gpus_per_site=2,
+        seed=seed,
+        clock=clock,
+        window_duration=window_duration,
+        control_policy=policy,
+        profile_sharing=True,
+        profile_decay_half_life=decay_half_life,
+        wan_faults=injector.wan_faults(),
+    )
+    scenario = injector.compile(
+        [site.name for site in controller.sites],
+        window_duration=200.0,
+        num_windows=num_windows,
+        gpus_per_site=2,
+    )
+    crowd = FlashCrowd(at_seconds=350.0, num_streams=6, site="site-0")
+    simulator = FleetSimulator(
+        controller,
+        Scenario([*scenario.events, crowd]),
+        clock=clock,
+        control_interval=50.0,
+    )
+    result = simulator.run_until(num_windows * 200.0)
+    return policy, result, tuple(simulator.event_trace)
+
+
+def _reference_chaos_run(seed, **kwargs):
+    with mock.patch.object(
+        FleetProfileStore, "best_candidate", _uncached_best_candidate
+    ), mock.patch("repro.fleet.policy.predictive._ScanScorer", _MemolessScorer):
+        return _chaos_run(seed, **kwargs)
+
+
+#: Estimator evaluations of the memoised scan on ``_chaos_run(1)``; the
+#: memo-less reference runs 2074 on the same calendar.
+PINNED_SCORE_ESTIMATES = 1336
+
+
+class TestScanMemoDifferential:
+    """The memoised scan decides exactly what the uncached scan decides."""
+
+    @pytest.mark.parametrize(
+        "seed, kwargs",
+        [
+            (1, {}),
+            (4, {"decay_half_life": 300.0}),
+            (7, {"window_duration": (150.0, 200.0, 250.0, 200.0)}),
+        ],
+    )
+    def test_memoised_scan_matches_the_uncached_reference(self, seed, kwargs):
+        policy, result, trace = _chaos_run(seed, **kwargs)
+        ref_policy, reference, ref_trace = _reference_chaos_run(seed, **kwargs)
+        assert result.summary() == reference.summary()
+        assert [w.mean_accuracy for w in result.windows] == [
+            w.mean_accuracy for w in reference.windows
+        ]
+        assert [e for w in result.windows for e in w.migrations] == [
+            e for w in reference.windows for e in w.migrations
+        ]
+        assert result.migrations_rejected == reference.migrations_rejected
+        assert result.proactive_cancellations == reference.proactive_cancellations
+        assert trace == ref_trace
+        assert result.summary()["migration_count"] > 0  # the scan did move streams
+        assert 0 < policy.score_estimates <= ref_policy.score_estimates
+
+    def test_score_estimates_pinned_on_a_fixed_fixture(self):
+        policy, _, _ = _chaos_run(1)
+        ref_policy, _, _ = _reference_chaos_run(1)
+        assert policy.score_estimates == PINNED_SCORE_ESTIMATES
+        assert policy.score_estimates < ref_policy.score_estimates

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.configs import RetrainingConfig
 from repro.datasets import DriftProfile, make_stream
@@ -218,3 +220,68 @@ class TestStaleCurveDecay:
         store.push(KEY, _profile())
         (entry,) = store.as_dict().values()
         assert "last_push_at" not in entry
+
+
+_CONFIGS = tuple(RetrainingConfig(epochs=epochs) for epochs in (5, 10, 30))
+_KEYS = (KEY, ("cityscapes", "regime-b"), ("waymo", "regime-a"))
+
+
+def _reference_best(store, key):
+    """The uncached argmax ``best_candidate`` must always agree with."""
+    curves = store.curves_for(key)
+    if not curves:
+        return None
+    config = min(curves, key=lambda cfg: (-curves[cfg][1], curves[cfg][0], cfg.key()))
+    cost, accuracy = curves[config]
+    return (config, cost, accuracy)
+
+
+#: One push: a key, one to three ``(config, accuracy, cost)`` estimates
+#: drawn from two-value sets (so accuracy and cost ties are common) and an
+#: arrival time drawn in any order (so arrivals are often out of order).
+_PUSH = st.tuples(
+    st.just("push"),
+    st.sampled_from(_KEYS),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_CONFIGS),
+            st.sampled_from((0.6, 0.8)),
+            st.sampled_from((10.0, 20.0)),
+        ),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda estimate: estimate[0],
+    ),
+    st.sampled_from((0.0, 50.0, 100.0, 400.0)),
+)
+_STEP = st.one_of(_PUSH, st.just(("round_trip",)))
+
+
+class TestBestCandidateMemo:
+    """``best_candidate`` is memoised per key and popped by ``push``."""
+
+    @given(half_life=st.sampled_from((None, 100.0)), steps=st.lists(_STEP, max_size=25))
+    def test_memo_matches_the_uncached_argmax_after_every_step(self, half_life, steps):
+        store = FleetProfileStore(decay_half_life=half_life)
+        for step in steps:
+            if step[0] == "push":
+                _, key, estimates, at_seconds = step
+                profile = StreamWindowProfile(
+                    stream_name="cam", window_index=0, start_accuracy=0.5
+                )
+                for config, accuracy, cost in estimates:
+                    profile.add(
+                        RetrainingEstimate(
+                            config=config,
+                            post_retraining_accuracy=accuracy,
+                            gpu_seconds=cost,
+                            profiling_gpu_seconds=cost / 10.0,
+                        )
+                    )
+                store.push(key, profile, at_seconds=at_seconds)
+            else:
+                store = FleetProfileStore.from_dict(json.loads(json.dumps(store.as_dict())))
+            # Every key is queried after every step, so each push lands on
+            # a populated memo entry for its key.
+            for key in _KEYS:
+                assert store.best_candidate(key) == _reference_best(store, key)
